@@ -233,7 +233,7 @@ def dumps_instance(g: Hypergraph, p: Optional[float] = None, seed: Optional[int]
 
 
 def loads_instance(text: str) -> tuple[Hypergraph, dict]:
-    """Parse the canonical instance file; strict about keys and edge order."""
+    """Parse the canonical instance file; strict about keys, types and edge order."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("instance file must be a JSON object")
@@ -243,11 +243,16 @@ def loads_instance(text: str) -> tuple[Hypergraph, dict]:
     for key in ("n", "d", "edges"):
         if key not in obj:
             raise ValueError(f"instance file missing required key {key!r}")
+    for key in ("n", "d"):
+        if not _is_int(obj[key]):
+            raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise ValueError("edges must be a list")
     tuples = []
     for e in edges:
+        if not isinstance(e, list) or not all(_is_int(v) for v in e):
+            raise ValueError(f"edge {e!r} is not a list of integer vertices")
         t = tuple(e)
         if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
             raise ValueError(f"edge {t} is not strictly ascending")
@@ -256,7 +261,16 @@ def loads_instance(text: str) -> tuple[Hypergraph, dict]:
         raise ValueError("edges are not in lexicographic order")
     g = Hypergraph(obj["n"], obj["d"], tuples)
     meta = {"p": obj.get("p"), "seed": obj.get("seed")}
+    p = meta["p"]
+    if p is not None and not ((_is_int(p) or isinstance(p, float)) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a probability or null, got {p!r}")
+    if meta["seed"] is not None and not _is_int(meta["seed"]):
+        raise ValueError(f"seed must be an integer or null, got {meta['seed']!r}")
     return g, meta
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def write_instance(g: Hypergraph, path, p: Optional[float] = None, seed: Optional[int] = None) -> None:

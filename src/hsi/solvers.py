@@ -1,33 +1,49 @@
-"""Exhaustive ground-truth oracles for desk-scale instances.
+"""Exact ground-truth oracles for desk-scale instances.
 
-Counting is exact: every k-subset is tested, in colex order, by OR-ing the
-precomputed closed-neighborhood bitmasks of its members and comparing against
-the all-vertices mask.  Subsets are scanned in fixed-size blocks through
-numpy; blocks are processed in colex order so witness selection (lowest colex
-rank first) and early exit are deterministic.  A `count_cap` turns the scan
-into a capped search (existence, uniqueness-vs-2) that still reports how many
-subsets were examined; without it the count path never prunes.
+Counting is exact and works on the hitting-set form of domination: S
+dominates G iff S meets every closed neighborhood S_u.  The search keeps a
+chosen set I, a set A of vertices still allowed to join it and the vertices
+not yet dominated.  At each node it takes the undominated vertex u whose S_u
+has the fewest allowed members and branches on x, the lowest member of the
+k-set inside S_u: I gains x and the members of S_u below x leave A.  These
+branches, plus the k-sets that avoid S_u, split the node's C(|A|, left)
+k-sets into disjoint blocks, so every k-set is settled exactly once:
 
-The budget guard is expressed in subsets, not seconds, so refusals are
-reproducible.
+* when nothing is left to dominate, all C(|A|, left) completions count;
+* with one pick left, the hits are the allowed vertices in every open S_u;
+* with as many picks left as allowed vertices, the one completion is tested;
+* a block is pruned when its picks cannot dominate what is left
+  (left * max|S_v| < undominated), or when it avoids an S_u.
+
+Quasi mode (exactly one undominated vertex) adds one branch while no vertex
+has been missed: "u is the missed vertex", which removes all of S_u from A.
+Until then a last pick counts when it lies in all open S_u but one.  The
+missed vertex of each quasi witness is read off the witness at the end.
+
+`subsets_examined` counts the k-sets settled so far: each closed or pruned
+block adds its size, so a full run reads exactly C(n, k).  Witnesses are
+bitmasks ordered as integers, which is colex order on k-sets; the
+`witness_cap` colex-smallest of the sets found are kept.  Without `count_cap`
+every dominating set is found, so they are the colex-first witnesses.  With
+`count_cap` the search stops at the cap, and the witnesses are the sets found
+before it stopped, in colex order.
+
+The budget guard is expressed in C(n, k), not seconds, so refusals are
+reproducible; the search visits at most about sum_{j<=k} C(n, j) nodes.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
+import heapq
+import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional
-
-import numpy as np
+from math import comb
+from typing import Iterable, Iterator, Optional
 
 from .hypergraph import Hypergraph, as_vertex_set
 
 DEFAULT_BUDGET = 10**9
-_CHUNK_ROWS = 1 << 17
-_MATERIALIZE_CAP = 5_000_000  # colex tables above this stream instead of caching
 
 
 class BudgetExceeded(RuntimeError):
@@ -39,7 +55,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one exhaustive scan."""
+    """Outcome of one exact search."""
 
     k: int
     count: int
@@ -51,131 +67,175 @@ class SolveReport:
     missed_vertices: Optional[tuple[int, ...]] = None
 
 
-@lru_cache(maxsize=8)
-def _colex_table(n: int, k: int) -> np.ndarray:
-    total = math.comb(n, k)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k)),
-        dtype=np.int16, count=total * k,
-    )
-    lex = flat.reshape(total, k)
-    return lex[np.lexsort(lex.T)]  # primary key = last column: colex order
+class _CapReached(Exception):
+    pass
 
 
-def _iter_colex_chunks(n: int, k: int, chunk_rows: int):
-    total = math.comb(n, k)
-    if total <= _MATERIALIZE_CAP:
-        table = _colex_table(n, k)
-        for start in range(0, total, chunk_rows):
-            yield table[start:start + chunk_rows]
-        return
-    # streaming colex successor; only exercised on very large scans
-    cur = list(range(k))
-    remaining = total
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        buf = np.empty((rows, k), dtype=np.int16)
-        for r in range(rows):
-            buf[r] = cur
-            for j in range(k):
-                nxt = cur[j] + 1
-                if (j + 1 == k and nxt < n) or (j + 1 < k and nxt < cur[j + 1]):
-                    cur[j] = nxt
-                    cur[:j] = range(j)
-                    break
-        remaining -= rows
-        yield buf
+def _colex_subsets(mask: int, r: int) -> Iterator[int]:
+    """The r-subsets of `mask` in increasing order, which is colex order."""
+    bits = _mask_bits(mask)
+    pick = (1 << r) - 1  # the r lowest bits, indexed by position in `bits`
+    while pick < 1 << len(bits):
+        yield _select(bits, pick)
+        if not pick:
+            return
+        low = pick & -pick  # Gosper's hack: the next larger index set of size r
+        ripple = pick + low
+        pick = (((ripple ^ pick) >> 2) // low) | ripple
 
 
-def _packed_masks(g: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    words = max(1, (g.n + 63) // 64)
-    packed = np.zeros((g.n, words), dtype=np.uint64)
-    for v, mask in enumerate(g.neighborhood_masks):
-        for w in range(words):
-            packed[v, w] = (mask >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    full = np.zeros(words, dtype=np.uint64)
-    fm = g.full_mask
-    for w in range(words):
-        full[w] = (fm >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-    return packed, full
+def _mask_bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
 
 
-def _missed_vertex(union_row: np.ndarray, full: np.ndarray) -> int:
-    for w, (u, f) in enumerate(zip(union_row, full)):
-        gap = int(u) ^ int(f)
-        if gap:
-            return 64 * w + gap.bit_length() - 1
-    raise AssertionError("no missed vertex in a quasi row")
+def _select(bits: list[int], pick: int) -> int:
+    out = 0
+    for low in _mask_bits(pick):
+        out |= bits[low.bit_length() - 1]
+    return out
 
 
-def _scan(g: Hypergraph, k: int, witness_cap: int, budget: int,
-          count_cap: Optional[int], quasi: bool) -> SolveReport:
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(low.bit_length() - 1 for low in _mask_bits(mask))
+
+
+def _covered(masks: tuple[int, ...], chosen: int) -> int:
+    out = 0
+    for v in _vertices(chosen):
+        out |= masks[v]
+    return out
+
+
+def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
+            count_cap: Optional[int], quasi: bool) -> SolveReport:
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    total = math.comb(g.n, k)
+    total = comb(g.n, k)
     if total > budget:
         raise BudgetExceeded(required=total, budget=budget)
     if count_cap is not None and count_cap < 1:
         raise ValueError(f"count_cap must be >= 1, got {count_cap}")
 
     t0 = time.perf_counter()
-    packed, full = _packed_masks(g)
-    single_word = packed.shape[1] == 1
-    if single_word:
-        flat, full_word = packed[:, 0], full[0]
+    masks = g.neighborhood_masks
+    widest = max(m.bit_count() for m in masks)
+    cap = count_cap if count_cap is not None else total + 1
     count = 0
     examined = 0
+    heap: list[int] = []  # negated masks: the colex-largest kept set is on top
+
+    def hits(block: int, completions: Iterator[int], chosen: int) -> None:
+        """Record `block` found sets, chosen | each completion, in colex order."""
+        nonlocal count
+        take = min(block, cap - count)
+        count += take
+        for _, extra in zip(range(min(take, witness_cap)), completions):
+            key = -(chosen | extra)
+            if len(heap) < witness_cap:
+                heapq.heappush(heap, key)
+            elif key > heap[0]:
+                heapq.heapreplace(heap, key)
+            else:
+                break  # later completions are colex-larger still
+        if count >= cap:
+            raise _CapReached
+
+    def last_pick(chosen: int, allowed: int, open_: int, spare: int) -> None:
+        """One pick left: it must lie in every open S_u, or in all but one if spare."""
+        nonlocal examined
+        examined += allowed.bit_count()
+        every, all_but_one = allowed, 0
+        while open_ and (every or all_but_one):
+            low = open_ & -open_
+            open_ ^= low
+            s_u = masks[low.bit_length() - 1]
+            if spare:
+                all_but_one = (all_but_one & s_u) | (every & ~s_u)
+            every &= s_u
+        found = all_but_one if spare else every
+        if found:
+            hits(found.bit_count(), _colex_subsets(found, 1), chosen)
+
+    def visit(chosen: int, allowed: int, left: int, open_: int, spare: int) -> None:
+        """Settle the k-sets chosen | C, C a `left`-subset of `allowed`.
+
+        `open_` holds the vertices chosen leaves undominated, less the missed
+        one in quasi mode; `spare` is 1 while a quasi set may still miss one."""
+        nonlocal examined
+        if left == 1:
+            last_pick(chosen, allowed, open_, spare)
+            return
+        size = allowed.bit_count()
+        if not open_:
+            block = comb(size, left)
+            examined += block
+            if not spare:  # else every completion dominates: none is quasi
+                hits(block, _colex_subsets(allowed, left), chosen)
+            return
+        if left > size or left * widest < open_.bit_count() - spare:
+            examined += comb(size, left)
+            return
+        if left == size:  # the one completion takes all of allowed
+            examined += 1
+            if (open_ & ~_covered(masks, allowed)).bit_count() == spare:
+                hits(1, iter((allowed,)), chosen)
+            return
+
+        best, fewest = -1, size + 1
+        rest = open_
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            c = (masks[u] & allowed).bit_count()
+            if c < fewest:
+                best, fewest = u, c
+                if c == 0:
+                    break
+        branch = masks[best] & allowed
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            allowed ^= low  # x leaves A together with the members below it
+            still = open_ & ~masks[low.bit_length() - 1]
+            if left == 2:  # calling last_pick directly saves a call per leaf
+                last_pick(chosen | low, allowed, still, spare)
+            else:
+                visit(chosen | low, allowed, left - 1, still, spare)
+        # allowed now avoids S_best, so best stays undominated in what is left
+        if spare:
+            visit(chosen, allowed, left, open_ ^ (1 << best), 0)
+        else:
+            examined += comb(allowed.bit_count(), left)
+
     capped = False
-    witnesses: list[tuple[int, ...]] = []
-    missed: list[int] = []
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(depth, k + 100))  # a frame per pick, one per miss
+    try:
+        visit(0, g.full_mask, k, g.full_mask, 1 if quasi else 0)
+    except _CapReached:
+        capped = True
+    finally:
+        sys.setrecursionlimit(depth)
 
-    for rows in _iter_colex_chunks(g.n, k, _CHUNK_ROWS):
-        if single_word:
-            union_w = flat[rows[:, 0]]
-            for j in range(1, k):
-                union_w = union_w | flat[rows[:, j]]
-            if quasi:
-                hits = np.bitwise_count(union_w ^ full_word) == 1
-            else:
-                hits = union_w == full_word
-            union = union_w[:, np.newaxis]
-        else:
-            union = np.bitwise_or.reduce(packed[rows], axis=1)
-            if quasi:
-                gap = union ^ full[np.newaxis, :]
-                hits = np.bitwise_count(gap).sum(axis=1) == 1
-            else:
-                hits = (union == full[np.newaxis, :]).all(axis=1)
-        idx = np.flatnonzero(hits)
-        chunk_hits = int(idx.size)
-
-        if count_cap is not None and count + chunk_hits >= count_cap:
-            stop_at = int(idx[count_cap - count - 1])
-            idx = idx[:count_cap - count]
-            count = count_cap
-            examined += stop_at + 1
-            capped = True
-        else:
-            count += chunk_hits
-            examined += len(rows)
-
-        for j in idx:
-            if len(witnesses) < witness_cap:
-                witnesses.append(tuple(int(v) for v in rows[j]))
-                if quasi:
-                    missed.append(_missed_vertex(union[j], full))
-        if capped:
-            break
-
+    found = sorted(-key for key in heap)
+    missed = None
+    if quasi:
+        missed = tuple((g.full_mask & ~_covered(masks, w)).bit_length() - 1 for w in found)
     return SolveReport(
         k=k,
         count=count,
-        witnesses=tuple(witnesses),
+        witnesses=tuple(_vertices(w) for w in found),
         unique=(count == 1 and not capped),
         subsets_examined=examined,
         elapsed=time.perf_counter() - t0,
         capped=capped,
-        missed_vertices=tuple(missed) if quasi else None,
+        missed_vertices=missed,
     )
 
 
@@ -183,19 +243,19 @@ def enumerate_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                               budget: int = DEFAULT_BUDGET,
                               count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of dominating k-sets (capped search when count_cap given)."""
-    return _scan(g, k, witness_cap, budget, count_cap, quasi=False)
+    return _search(g, k, witness_cap, budget, count_cap, quasi=False)
 
 
 def enumerate_quasi_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                                     budget: int = DEFAULT_BUDGET,
                                     count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of k-sets that dominate all but exactly one vertex."""
-    return _scan(g, k, witness_cap, budget, count_cap, quasi=True)
+    return _search(g, k, witness_cap, budget, count_cap, quasi=True)
 
 
 def has_dominating_set(g: Hypergraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Existence fast path: stops at the first witness."""
-    return _scan(g, k, witness_cap=1, budget=budget, count_cap=1, quasi=False).count > 0
+    return _search(g, k, witness_cap=1, budget=budget, count_cap=1, quasi=False).count > 0
 
 
 def is_vertex_cover(g: Hypergraph, s: Iterable[int]) -> bool:

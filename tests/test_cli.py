@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,14 @@ from hsi.experiments import EstimateRecord
 from hsi.hypergraph import Hypergraph, read_instance, write_instance
 from hsi.model import calibrate_p
 from hsi.moments import expected_count
+
+
+def test_import_leaves_numpy_out():
+    # the declared dependencies are the standard library only
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, hsi.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def run(capsys, *argv):
@@ -70,6 +82,22 @@ class TestGenAndSolve:
         assert code == 0
         report = json.loads(out)
         assert report["count"] == 3 and report["missed_vertices"] == [3, 3, 3]
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"n":5,"d":2,"edges":[5]}', "edge 5 is not a list"),
+        ('{"n":"5","d":2,"edges":[]}', "n must be an integer"),
+        ('{"n":5,"d":2,"edges":[[1.5,2]]}', "edge [1.5, 2] is not a list"),
+        ('{"n":5,"d":2,"edges":[[true,2]]}', "edge [True, 2] is not a list"),
+        ('{"n":5,"d":2,"edges":[],"p":"x"}', "p must be a probability"),
+        ('{"n":5,"d":2,"edges":[],"seed":1.5}', "seed must be an integer"),
+    ], ids=["edge-not-list", "n-string", "float-vertex", "bool-vertex", "p-string",
+            "seed-float"])
+    def test_solve_rejects_malformed_instance(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "solve", "--in", str(path), "--k", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {reason}")
 
 
 class TestMoments:

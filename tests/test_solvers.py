@@ -2,8 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-import hsi.solvers as solvers
 from hsi.hypergraph import Hypergraph, domination_status, is_quasi_dominating
 from hsi.model import ModelParams, sample_hypergraph
 from hsi.rng import SplitMix64
@@ -15,7 +15,7 @@ from hsi.solvers import (
     is_vertex_cover,
 )
 
-from oracles import count_dominating_plain, count_quasi_plain
+from oracles import count_dominating_plain, count_quasi_plain, undominated_plain
 
 G52 = Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
 
@@ -84,6 +84,17 @@ class TestDominatingEnumeration:
         first = enumerate_dominating_sets(g, 2, count_cap=1)
         assert first.count == 1 and first.capped and not first.unique
 
+    def test_deep_search_near_n(self):
+        # a k-set missing one vertex r dominates iff r has a neighbor; the
+        # search goes deeper than Python's default recursion limit here
+        n = 1050
+        g = Hypergraph(n, 3, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(200)])
+        rep = enumerate_dominating_sets(g, n - 1, witness_cap=1)
+        assert rep.count == 600  # colex-first: drop the highest vertex with a neighbor
+        assert rep.witnesses == (tuple(v for v in range(n) if v != 599),)
+        assert rep.subsets_examined == n
+        assert enumerate_quasi_dominating_sets(g, n - 1).count == 450
+
     def test_existence_fast_path_agrees(self):
         rng = SplitMix64(23)
         for trial in range(1000):
@@ -131,6 +142,65 @@ class TestQuasiEnumeration:
             assert is_quasi_dominating(g, w) == miss
 
 
+@st.composite
+def instances(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    d = draw(st.integers(2, 4))
+    pot = list(itertools.combinations(range(n), d))
+    edges = draw(st.lists(st.sampled_from(pot), unique=True, max_size=30)) if pot else []
+    k = draw(st.integers(1, n))
+    return Hypergraph(n, d, edges), k
+
+
+def colex_key(s):
+    return tuple(reversed(s))
+
+
+class TestDifferential:
+    """The search against the plain oracle: every k-subset checked by set logic."""
+
+    @given(instances(), st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_oracle(self, instance, witness_cap):
+        g, k = instance
+        plain = {v: [] for v in range(-1, g.n)}  # missed vertex (-1: none) -> k-sets
+        for sub in itertools.combinations(range(g.n), k):
+            miss = undominated_plain(g.n, g.edges, sub)
+            if len(miss) <= 1:
+                plain[miss[0] if miss else -1].append(sub)
+        dominating = plain.pop(-1)
+        quasi = sorted(((s, v) for v, sets in plain.items() for s in sets),
+                       key=lambda sv: colex_key(sv[0]))
+        assert len(dominating) == count_dominating_plain(g.n, g.edges, k)
+        assert len(quasi) == count_quasi_plain(g.n, g.edges, k)
+
+        rep = enumerate_dominating_sets(g, k, witness_cap=witness_cap)
+        assert rep.count == len(dominating) and not rep.capped
+        assert rep.unique == (rep.count == 1)
+        assert rep.witnesses == tuple(sorted(dominating, key=colex_key)[:witness_cap])
+        assert rep.subsets_examined == math.comb(g.n, k)
+        assert rep.missed_vertices is None
+
+        q = enumerate_quasi_dominating_sets(g, k, witness_cap=witness_cap)
+        assert q.count == len(quasi) and not q.capped
+        assert list(zip(q.witnesses, q.missed_vertices)) == quasi[:witness_cap]
+        assert q.subsets_examined == math.comb(g.n, k)
+
+        for fn, truth in ((enumerate_dominating_sets, dict.fromkeys(dominating, None)),
+                          (enumerate_quasi_dominating_sets, dict(quasi))):
+            for cap in (1, 2):
+                capped = fn(g, k, witness_cap=witness_cap, count_cap=cap)
+                assert capped.count == min(len(truth), cap)
+                assert capped.capped == (len(truth) >= cap)
+                assert capped.unique == (len(truth) == 1 and cap > 1)
+                assert capped.subsets_examined <= math.comb(g.n, k)
+                assert list(capped.witnesses) == sorted(set(capped.witnesses), key=colex_key)
+                assert len(capped.witnesses) == min(capped.count, witness_cap)
+                missed = capped.missed_vertices or (None,) * len(capped.witnesses)
+                for w, v in zip(capped.witnesses, missed):
+                    assert w in truth and truth[w] == v
+
+
 class TestMultiword:
     def test_beyond_64_vertices(self):
         # structure lives in the low vertices; the tail forces a second word
@@ -141,18 +211,6 @@ class TestMultiword:
         assert rep.count == count_dominating_plain(80, g.edges, 2)
         q = enumerate_quasi_dominating_sets(g, 2, budget=10**7)
         assert q.count == count_quasi_plain(80, g.edges, 2)
-
-
-class TestStreamingPath:
-    def test_matches_cached_table(self, monkeypatch):
-        g = sample_hypergraph(ModelParams(n=12, d=3, k=3, p=0.08, seed=21))
-        cached = enumerate_dominating_sets(g, 3, witness_cap=5)
-        monkeypatch.setattr(solvers, "_MATERIALIZE_CAP", 0)
-        monkeypatch.setattr(solvers, "_CHUNK_ROWS", 64)
-        streamed = enumerate_dominating_sets(g, 3, witness_cap=5)
-        assert streamed.count == cached.count
-        assert streamed.witnesses == cached.witnesses
-        assert streamed.subsets_examined == cached.subsets_examined == math.comb(12, 3)
 
 
 class TestVertexCover:
