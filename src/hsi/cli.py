@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -197,6 +198,7 @@ def _cmd_experiment(args) -> int:
     return 5 if failed_gates(records) else 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hsi")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -165,6 +164,7 @@ def _run_trials(kind: str, params: ModelParams, extra, trials: int,
         return _sum_range(kind, params, extra, 0, trials)
     step = max(1, -(-trials // (w * 4)))
     ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    from concurrent.futures import ProcessPoolExecutor  # only pooled calls pay the import
     with ProcessPoolExecutor(max_workers=w) as pool:
         partials = list(pool.map(_sum_range, *zip(*[(kind, params, extra, lo, hi)
                                                     for lo, hi in ranges])))

@@ -157,20 +157,8 @@ def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> flo
 
 @lru_cache(maxsize=32)
 def _binom_columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    # columns[j][c] = C(c, j+1) for c in 0..n-1, used for colex unranking
-    return tuple(tuple(math.comb(c, j + 1) for c in range(n)) for j in range(d))
-
-
-def _unrank_colex(rank: int, n: int, d: int, columns) -> tuple[int, ...]:
-    # colex combinadic: rank = sum_j C(c_j, j) over digits c_d > ... > c_1
-    digits = []
-    r = rank
-    for j in range(d, 0, -1):
-        c = bisect_right(columns[j - 1], r) - 1
-        digits.append(c)
-        r -= columns[j - 1][c]
-    digits.reverse()
-    return tuple(digits)
+    # columns[i][c] = C(c, d-i) for c in 0..n-1: the colex digits, highest first
+    return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 0, -1))
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
@@ -185,22 +173,29 @@ def sample_hypergraph(params: ModelParams) -> Hypergraph:
         raise InstanceTooLarge(f"C({n},{d}) = {total} exceeds the edge-rank range")
     if p == 0.0 or total == 0:
         return Hypergraph(n, d, ())
-    columns = _binom_columns(n, d)
     if p == 1.0:
-        edges = [_unrank_colex(r, n, d, columns) for r in range(total)]
-        return Hypergraph(n, d, edges)
-
-    rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
-    count = rng.binomial(total, p)
-    ranks: set[int] = set()
-    if count <= total // 2:
-        while len(ranks) < count:
-            ranks.add(rng.randbelow(total))
-        chosen = ranks
+        chosen = range(total)
     else:
-        excluded: set[int] = set()
-        while len(excluded) < total - count:
-            excluded.add(rng.randbelow(total))
-        chosen = {r for r in range(total) if r not in excluded}
-    edges = [_unrank_colex(r, n, d, columns) for r in sorted(chosen)]
+        rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
+        count = rng.binomial(total, p)
+        ranks: set[int] = set()  # the chosen ranks, or the excluded ones past total / 2
+        if count <= total // 2:
+            while len(ranks) < count:
+                ranks.add(rng.randbelow(total))
+            chosen = ranks
+        else:
+            while len(ranks) < total - count:
+                ranks.add(rng.randbelow(total))
+            chosen = (r for r in range(total) if r not in ranks)
+    # colex unranking: rank = sum_j C(c_j, j) over digits c_d > ... > c_1.
+    # Edges go out in any order and with descending digits; Hypergraph sorts.
+    columns = _binom_columns(n, d)
+    edges = []
+    for rank in chosen:
+        edge = []
+        for column in columns:
+            c = bisect_right(column, rank) - 1
+            edge.append(c)
+            rank -= column[c]
+        edges.append(edge)
     return Hypergraph(n, d, edges)

@@ -294,7 +294,7 @@ def quasi_second_moment(n: int, d: int, k: int, p: float) -> QuasiMomentReport:
     logq0, log_omq0 = miss.logq0, miss.log_omq0
 
     phi, w, p1s, p2s, p3s, p4s, q00s, q11s, ms = [], [], [], [], [], [], [], [], []
-    total = 0.0
+    log_terms = []  # log Phi(i) W(i): Phi(0) alone can exceed float range
     for i in range(k + 1):
         ov = miss.overlap(i)
         mi, q00, q11, dq = ov.mi, ov.q00, ov.q11, ov.dq
@@ -316,9 +316,8 @@ def quasi_second_moment(n: int, d: int, k: int, p: float) -> QuasiMomentReport:
             + _log_pow(log_q11, mi - 1) + _log_pow(log_omq0, 2 * ko - 1))
 
         wi = p1 + p2 + p3 + 2.0 * p4
-        phi_i = math.comb(n, k) * math.comb(k, i) * math.comb(n - k, k - i)
-        total += phi_i * wi
-        phi.append(phi_i)
+        phi.append(math.comb(n, k) * math.comb(k, i) * math.comb(n - k, k - i))
+        log_terms.append(_safe_log(phi[-1]) + _safe_log(wi))
         w.append(wi)
         p1s.append(p1)
         p2s.append(p2)
@@ -336,7 +335,7 @@ def quasi_second_moment(n: int, d: int, k: int, p: float) -> QuasiMomentReport:
         p2_terms=tuple(p2s),
         p3_terms=tuple(p3s),
         p4_terms=tuple(p4s),
-        second_moment=total,
+        second_moment=_exp(_logsumexp(log_terms)),
         q0=miss.q0,
         q00_terms=tuple(q00s),
         q11_terms=tuple(q11s),

@@ -3,14 +3,17 @@
 Counting is exact and works on the hitting-set form of domination: S
 dominates G iff S meets every closed neighborhood S_u.  The search keeps a
 chosen set I, a set A of vertices still allowed to join it and the vertices
-not yet dominated.  At each node it takes the undominated vertex u whose S_u
-has the fewest allowed members and branches on x, the lowest member of the
-k-set inside S_u: I gains x and the members of S_u below x leave A.  These
-branches, plus the k-sets that avoid S_u, split the node's C(|A|, left)
+not yet dominated.  At each node it takes an undominated vertex u and
+branches on x, the lowest member of the k-set inside S_u: I gains x and the
+members of S_u below x leave A.  With two picks left, which is most nodes, u
+is the first undominated vertex in ascending |S_u| order, sorted once per
+search; deeper nodes take the u whose S_u has the fewest allowed members.
+These branches, plus the k-sets that avoid S_u, split the node's C(|A|, left)
 k-sets into disjoint blocks, so every k-set is settled exactly once:
 
 * when nothing is left to dominate, all C(|A|, left) completions count;
-* with one pick left, the hits are the allowed vertices in every open S_u;
+* with one pick left, the hits are the allowed vertices in every open S_u,
+  settled for all the last picks below a two-picks-left node in one loop;
 * with as many picks left as allowed vertices, the one completion is tested;
 * a block is pruned when its picks cannot dominate what is left
   (left * max|S_v| < undominated), or when it avoids an S_u.
@@ -123,7 +126,9 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
 
     t0 = time.perf_counter()
     masks = g.neighborhood_masks
-    widest = max(m.bit_count() for m in masks)
+    sizes = [m.bit_count() for m in masks]
+    widest = max(sizes)
+    order = sorted(range(g.n), key=sizes.__getitem__)  # ascending |S_u|, ties by u
     cap = count_cap if count_cap is not None else total + 1
     count = 0
     examined = 0
@@ -145,21 +150,32 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
         if count >= cap:
             raise _CapReached
 
-    def last_pick(chosen: int, allowed: int, open_: int, spare: int) -> None:
-        """One pick left: it must lie in every open S_u, or in all but one if spare."""
+    def last_picks(chosen: int, allowed: int, open_: int, spare: int, xs: int) -> None:
+        """Settle the k-sets chosen | x | y with y the last pick, for each x in
+        `xs` in increasing order; xs == 0 settles chosen | y alone.
+
+        x leaves A together with the members of xs below it, and y must lie
+        in every S_u that chosen | x leaves open, or in all but one if spare."""
         nonlocal examined
-        examined += allowed.bit_count()
-        every, all_but_one = allowed, 0
-        while open_ and (every or all_but_one):
-            low = open_ & -open_
-            open_ ^= low
-            s_u = masks[low.bit_length() - 1]
-            if spare:
-                all_but_one = (all_but_one & s_u) | (every & ~s_u)
-            every &= s_u
-        found = all_but_one if spare else every
-        if found:
-            hits(found.bit_count(), _colex_subsets(found, 1), chosen)
+        while True:
+            x = xs & -xs
+            xs ^= x
+            allowed ^= x
+            examined += allowed.bit_count()
+            rest = open_ & ~masks[x.bit_length() - 1] if x else open_
+            every, all_but_one = allowed, 0
+            while rest and (every or all_but_one):
+                low = rest & -rest
+                rest ^= low
+                s_u = masks[low.bit_length() - 1]
+                if spare:
+                    all_but_one = (all_but_one & s_u) | (every & ~s_u)
+                every &= s_u
+            found = all_but_one if spare else every
+            if found:
+                hits(found.bit_count(), _colex_subsets(found, 1), chosen | x)
+            if not xs:
+                return
 
     def visit(chosen: int, allowed: int, left: int, open_: int, spare: int) -> None:
         """Settle the k-sets chosen | C, C a `left`-subset of `allowed`.
@@ -168,7 +184,7 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
         one in quasi mode; `spare` is 1 while a quasi set may still miss one."""
         nonlocal examined
         if left == 1:
-            last_pick(chosen, allowed, open_, spare)
+            last_picks(chosen, allowed, open_, spare, 0)
             return
         size = allowed.bit_count()
         if not open_:
@@ -186,27 +202,33 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
                 hits(1, iter((allowed,)), chosen)
             return
 
-        best, fewest = -1, size + 1
-        rest = open_
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u = low.bit_length() - 1
-            c = (masks[u] & allowed).bit_count()
-            if c < fewest:
-                best, fewest = u, c
-                if c == 0:
+        if left == 2:  # most nodes: a static order costs less than the scan
+            for best in order:
+                if open_ >> best & 1:
                     break
-        branch = masks[best] & allowed
-        while branch:
-            low = branch & -branch
-            branch ^= low
-            allowed ^= low  # x leaves A together with the members below it
-            still = open_ & ~masks[low.bit_length() - 1]
-            if left == 2:  # calling last_pick directly saves a call per leaf
-                last_pick(chosen | low, allowed, still, spare)
-            else:
-                visit(chosen | low, allowed, left - 1, still, spare)
+            branch = masks[best] & allowed
+            if branch:
+                last_picks(chosen, allowed, open_, spare, branch)
+            allowed ^= branch
+        else:
+            best, fewest = -1, size + 1
+            rest = open_
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                c = (masks[u] & allowed).bit_count()
+                if c < fewest:
+                    best, fewest = u, c
+                    if c == 0:
+                        break
+            branch = masks[best] & allowed
+            while branch:
+                low = branch & -branch
+                branch ^= low
+                allowed ^= low  # x leaves A together with the members below it
+                visit(chosen | low, allowed, left - 1, open_ & ~masks[low.bit_length() - 1],
+                      spare)
         # allowed now avoids S_best, so best stays undominated in what is left
         if spare:
             visit(chosen, allowed, left, open_ ^ (1 << best), 0)

@@ -27,6 +27,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class TestRepeatedMain:
+    """`main` called again and again in one process shares one parser."""
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--k", "2"])  # --in is missing
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "calibrate", "--n", "60", "--d", "3",
+                           "--k", "4", "--delta", "0.5")
+        assert code == 0 and out.startswith("p_star=")
+
+    def test_pair_then_solve_match_separate_calls(self, tmp_path, capsys):
+        pair = ["pair", "--n", "30", "--d", "3", "--k", "3", "--delta", "0.5",
+                "--seed", "11", "--vh-size", "5", "--retries", "300", "--out-prefix"]
+        solve = ["solve", "--k", "3", "--witnesses", "3", "--in"]
+
+        def solved(stdout):
+            report = json.loads(stdout)
+            del report["elapsed"]
+            return report
+
+        outputs = {}
+        for where in ("shared", "separate"):
+            prefix = str(tmp_path / where)
+            calls = (pair + [prefix], solve + [prefix + "_yes.json"])
+            if where == "shared":
+                results = [run(capsys, *argv)[:2] for argv in calls]
+            else:
+                env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+                procs = [subprocess.run([sys.executable, "-m", "hsi.cli", *argv], env=env,
+                                        capture_output=True, text=True, timeout=120)
+                         for argv in calls]
+                results = [(proc.returncode, proc.stdout) for proc in procs]
+            assert [code for code, _ in results] == [0, 0]
+            files = [Path(prefix + suffix).read_text()
+                     for suffix in ("_yes.json", "_no.json", "_record.json")]
+            outputs[where] = (files, solved(results[1][1]))
+        assert outputs["shared"] == outputs["separate"]
+        assert outputs["shared"][1]["count"] == 1
+
+
 class TestCalibrate:
     def test_prints_residual(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--n", "60", "--d", "3",

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsi.model import count_M
+from hsi.model import calibrate_p, count_M
 from hsi.moments import (
     ds_correlation_ratio,
     expected_count,
@@ -219,6 +220,15 @@ class TestQuasiMoments:
         q = quasi_second_moment(8, 3, 2, 1.0)
         assert all(w == 0.0 for w in q.w_terms)
         assert q.second_moment == 0.0
+
+    def test_second_moment_past_float_range_of_phi(self):
+        # Phi(0) = C(n,k) C(n-k,k) is about 1e556 here, but Phi(0) W(0) is not
+        n, d, k = 10**6, 3, 60
+        p = calibrate_p(n, d, k, 0.5)
+        q = quasi_second_moment(n, d, k, p)
+        exact = sum(Fraction(phi) * Fraction(wi) for phi, wi in zip(q.phi_terms, q.w_terms))
+        assert math.isfinite(q.second_moment)
+        assert q.second_moment == pytest.approx(float(exact), rel=1e-9)
 
     def test_p2_zero_when_no_vertex_pair(self):
         q = quasi_second_moment(4, 2, 2, 0.4)
