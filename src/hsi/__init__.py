@@ -4,7 +4,6 @@ a Monte-Carlo harness tying them together."""
 
 from .hypergraph import (
     DominationStatus,
-    HittingFamily,
     Hypergraph,
     as_vertex_set,
     closed_neighborhood,
@@ -14,13 +13,10 @@ from .hypergraph import (
     is_quasi_dominating,
     loads_instance,
     read_instance,
-    to_hitting_instance,
-    vertex_edge_degree,
     write_instance,
 )
 from .model import (
     CalibrationError,
-    CombinatorialCounts,
     InstanceTooLarge,
     ModelParams,
     asymptotic_p,
@@ -28,7 +24,6 @@ from .model import (
     choose_k,
     count_M,
     count_Mi,
-    counts_for_overlap,
     sample_hypergraph,
 )
 from .moments import (

@@ -25,7 +25,13 @@ from .experiments import (
     records_to_csv,
     write_csv,
 )
-from .hypergraph import domination_status, is_quasi_dominating, read_instance, write_instance
+from .hypergraph import (
+    as_vertex_set,
+    domination_status,
+    is_quasi_dominating,
+    read_instance,
+    write_instance,
+)
 from .model import ModelParams, calibrate_p, choose_k, sample_hypergraph
 from .moments import ds_correlation_ratio, expected_count, quasi_second_moment, second_moment
 from .rng import STREAM_SWAP, SplitMix64, derive_seed
@@ -123,7 +129,7 @@ def _record_payload(record) -> dict:
 def _cmd_swap(args) -> int:
     g, _ = read_instance(args.infile)
     s = _int_list(args.set)
-    region = ProtectedRegion(vertices=tuple(sorted(_int_list(args.vh)))) if args.vh else ProtectedRegion()
+    region = ProtectedRegion(vertices=as_vertex_set(_int_list(args.vh or ""), g.n))
     rng = SplitMix64(derive_seed(args.seed, STREAM_SWAP)) if args.seed is not None else None
     if args.dir == "forward":
         g2, record = forward_swap(g, s, region=region, rng=rng)
@@ -145,6 +151,10 @@ def _cmd_swap(args) -> int:
 def _cmd_pair(args) -> int:
     params = ModelParams.calibrated(n=args.n, d=args.d, k=args.k,
                                     delta=args.delta, seed=args.seed)
+    # a swap moves two distinct edges, d + 1 vertices at least, outside the region
+    if not 0 <= args.vh_size <= args.n - args.d - 1:
+        raise ValueError(f"--vh-size must lie in [0, n-d-1] = [0, {args.n - args.d - 1}] "
+                         f"to leave room for a swap, got {args.vh_size}")
     region = ProtectedRegion(vertices=tuple(range(args.vh_size)))
     result = build_selfref_pair(params, region=region, retry_budget=args.retries)
     prefix = args.out_prefix

@@ -89,13 +89,6 @@ def _trial_seed(params: ModelParams, t: int) -> ModelParams:
     return params.with_seed(indexed_seed(params.seed, STREAM_TRIALS, t))
 
 
-def _trial_ex(params: ModelParams, extra, t: int):
-    budget, = extra
-    g = sample_hypergraph(_trial_seed(params, t))
-    c = enumerate_dominating_sets(g, params.k, witness_cap=0, budget=budget).count
-    return (c, c * c)
-
-
 def _trial_solvable(params: ModelParams, extra, t: int):
     budget, = extra
     g = sample_hypergraph(_trial_seed(params, t))
@@ -129,7 +122,6 @@ def _trial_quasi(params: ModelParams, extra, t: int):
 
 
 _KERNELS = {
-    "ex": _trial_ex,
     "solvable": _trial_solvable,
     "pair": _trial_pair,
     "quasi": _trial_quasi,
@@ -184,7 +176,7 @@ def mc_expected_count(params: ModelParams, trials: int, workers: Optional[int] =
 
     Enforced at d=2 where the formula is exact; report-only for d>=3.
     """
-    s1, s2 = _run_trials("ex", params, (budget,), trials, workers)
+    s1, s2, _, _ = _run_trials("solvable", params, (budget,), trials, workers)
     mean, se = _mean_se(s1, s2, trials)
     formula = expected_count(params.n, params.d, params.k, params.p)
     return EstimateRecord(
@@ -299,14 +291,12 @@ def mc_quasi_frequency(params: ModelParams, trials: int,
     return mean_rec, cond_rec
 
 
-def ratio_trend(params_list: Sequence[ModelParams], trials: int = 0,
-                workers: Optional[int] = None) -> list[EstimateRecord]:
+def ratio_trend(params_list: Sequence[ModelParams]) -> list[EstimateRecord]:
     """Analytic E[X^2]/E[X]^2 at calibrated p along an increasing-n ladder.
 
     Appends an indicator record asserting the excess over 1 + 1/delta is
     non-increasing along the ladder.
     """
-    del trials, workers  # analytic; accepted for interface parity
     if not params_list:
         raise ValueError("need at least one parameter point")
     ns = [p.n for p in params_list]

@@ -142,17 +142,6 @@ class DominationStatus:
     undominated: VertexSet
 
 
-@dataclass(frozen=True)
-class HittingFamily:
-    """The family {S_u}: S_u is the closed neighborhood of u."""
-
-    sets: tuple[VertexSet, ...]
-
-    def hits_all(self, s: Iterable[int]) -> bool:
-        chosen = set(s)
-        return all(chosen.intersection(su) for su in self.sets)
-
-
 def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
     """Validate and canonicalize a vertex set: sorted, distinct, within [0, n)."""
     ms = tuple(sorted(members))
@@ -168,11 +157,6 @@ def closed_neighborhood(g: Hypergraph, u: int) -> VertexSet:
     g._check_vertex(u)
     mask = g.neighborhood_masks[u]
     return tuple(v for v in range(g.n) if (mask >> v) & 1)
-
-
-def vertex_edge_degree(g: Hypergraph, u: int) -> int:
-    """Number of hyperedges containing u."""
-    return g.degree(u)
 
 
 def _set_mask(g: Hypergraph, s: VertexSet) -> int:
@@ -211,11 +195,6 @@ def is_quasi_dominating(g: Hypergraph, s: Iterable[int]) -> Optional[int]:
     if missing and (missing & (missing - 1)) == 0:
         return missing.bit_length() - 1
     return None
-
-
-def to_hitting_instance(g: Hypergraph) -> HittingFamily:
-    """Hitting-set reformulation: S dominates g iff S hits every S_u."""
-    return HittingFamily(sets=tuple(closed_neighborhood(g, u) for u in range(g.n)))
 
 
 # -- canonical instance file ------------------------------------------------

@@ -64,15 +64,6 @@ class ModelParams:
         return cls(n=n, d=d, k=k, p=p, delta=delta, seed=seed)
 
 
-@dataclass(frozen=True)
-class CombinatorialCounts:
-    """M, M_i and the residual-block size m_i for one overlap i."""
-
-    M: int
-    M_i: int
-    m_i: int
-
-
 def _comb0(m: int, r: int) -> int:
     # binomial with top below bottom (including negative top) evaluating to 0
     return math.comb(m, r) if m >= r else 0
@@ -96,10 +87,6 @@ def count_Mi(n: int, k: int, i: int, d: int) -> int:
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     return math.comb(n - 1, d - 1) - _comb0(n - 1 - (2 * k - i), d - 1)
-
-
-def counts_for_overlap(n: int, k: int, i: int, d: int) -> CombinatorialCounts:
-    return CombinatorialCounts(M=count_M(n, k, d), M_i=count_Mi(n, k, i, d), m_i=n - 2 * k + i)
 
 
 def choose_k(n: int) -> int:

@@ -1,16 +1,17 @@
 """Degree-preserving two-edge swaps that flip solvability.
 
-The forward direction starts from an instance whose set S dominates via a
-pivot vertex v (dominated by exactly one member u of S through exactly one
-hyperedge e1) and a partner hyperedge e2 = (u', v', w...) carrying exactly one
-member u' of S.  Replacing e1 = (u, v, z...) and e2 with (u, u', z...) and
-(v, v', w...) leaves every vertex degree and the edge count unchanged, never
-touches an edge meeting the protected region, and leaves v undominated by S.
-The backward direction performs the inverse rewiring on an instance where v
-is undominated, making S dominating again.
+Both directions are one rewiring: the pivot-side pair (u, v, z...),
+(u', v', w...) is traded for the S-side pair (u, u', z...), (v, v', w...), which
+keeps every vertex degree and the edge count and touches no edge meeting the
+protected region.  Forward trades the pivot-side pair away: S dominates, the
+pivot v is dominated only by u through one edge, the partner edge holds only u'
+of S, and afterwards v is undominated.  Backward trades the S-side pair away
+where v is undominated, and S dominates again.
 
-Candidate roles are searched in lexicographic order (optionally shuffled by a
-seeded generator), so a fixed seed reproduces the same SwapRecord.
+Each direction lists its own candidate roles; one search applies the first
+admissible one.  Candidates come in lexicographic order (optionally shuffled
+by a seeded generator), so a fixed seed reproduces the same SwapRecord.
+Pinned roles are a single candidate whose refusal is raised.
 """
 
 from __future__ import annotations
@@ -131,46 +132,105 @@ def pivot_diagnostics(n: int, d: int, k: int, p: float, c: float) -> PivotDiagno
                             prob_any_pivot=prob_any, m_prime=m_prime)
 
 
-def _pivot_candidates(g: Hypergraph, s_set: set[int], blocked: set[int]):
-    """(v, u, e1) with v outside S and the region, dominated only by u via e1."""
-    out = []
-    incidence = g.incidence
+def _pivots(g: Hypergraph, s, region: ProtectedRegion):
+    """The validated set and its pivots (v, u, e1): v outside S is dominated
+    only by u, through the one edge e1, and e1 avoids the region."""
+    vs = as_vertex_set(s, g.n)
+    if not is_dominating_set(g, vs):
+        raise ValueError("forward swap needs a dominating set")
+    s_set = set(vs)
+    blocked = set(region.vertices)
+    pivots = []
     for v in range(g.n):
-        if v in s_set or v in blocked:
+        if v in s_set:
             continue
-        touching = [e for e in incidence[v] if any(x in s_set for x in e)]
+        touching = [e for e in g.incidence[v] if any(x in s_set for x in e)]
         if len(touching) != 1:
             continue
         e1 = touching[0]
         in_s = [x for x in e1 if x in s_set]
-        if len(in_s) == 1:
-            out.append((v, in_s[0], e1))
-    return out
+        if len(in_s) == 1 and not any(x in blocked for x in e1):
+            pivots.append((v, in_s[0], e1))
+    return vs, pivots
 
 
 def find_pivot(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
                rng: Optional[SplitMix64] = None) -> tuple[int, int, Edge]:
-    """Locate a pivot vertex; lowest v wins unless rng picks uniformly."""
-    vs = as_vertex_set(s, g.n)
-    if not is_dominating_set(g, vs):
-        raise ValueError("the candidate set does not dominate the instance")
-    blocked = set(region.vertices)
-    candidates = _pivot_candidates(g, set(vs), blocked)
-    if not candidates:
-        raise SwapNotFound("no pivot vertex: every candidate is multiply dominated")
-    if rng is None:
-        return candidates[0]
-    return candidates[rng.randbelow(len(candidates))]
+    """A pivot `forward_swap` may use; lowest v wins unless rng picks uniformly."""
+    _, pivots = _pivots(g, s, region)
+    if not pivots:
+        raise SwapNotFound("no pivot vertex outside the protected region")
+    return pivots[0] if rng is None else pivots[rng.randbelow(len(pivots))]
 
 
-def _single_s_edges(g: Hypergraph, s_set: set[int], blocked: set[int]):
-    """Edges carrying exactly one member of S and avoiding the region."""
-    for e in g.edges:
+def _edge(a: int, b: int, rest: tuple[int, ...]) -> Edge:
+    return tuple(sorted((a, b, *rest)))
+
+
+def _rest(e: Edge, a: int, b: int) -> tuple[int, ...]:
+    return tuple(x for x in e if x != a and x != b)
+
+
+def _rewire(roles: SwapRoles, forward: bool) -> tuple[tuple[Edge, Edge], tuple[Edge, Edge]]:
+    """(removed, added): forward trades the pivot-side pair (u,v,z...),(u',v',w...)
+    for the S-side pair (u,u',z...),(v,v',w...); backward trades them back."""
+    pivot_side = (_edge(roles.u, roles.v, roles.z), _edge(roles.u_prime, roles.v_prime, roles.w))
+    s_side = (_edge(roles.u, roles.u_prime, roles.z), _edge(roles.v, roles.v_prime, roles.w))
+    return (pivot_side, s_side) if forward else (s_side, pivot_side)
+
+
+def _refusal(g: Hypergraph, roles: SwapRoles, forward: bool, removed, added,
+             s_set: set[int], blocked: set[int]) -> Optional[str]:
+    """Why the swap is inadmissible, or None when it may be applied."""
+    e1, e2 = removed
+    if e1 not in g.edge_set or e2 not in g.edge_set:
+        return f"edges {e1}, {e2} are not both present"
+    if e1 == e2:
+        return "the two swapped edges must differ"
+    for e in removed:
         if any(x in blocked for x in e):
-            continue
-        in_s = [x for x in e if x in s_set]
-        if len(in_s) == 1:
-            yield e, in_s[0]
+            return f"edge {e} touches the protected region"
+    for x in (roles.u, roles.v, roles.u_prime, roles.v_prime):
+        if x in blocked:
+            return f"role vertex {x} lies in the protected region"
+    # each direction's rule on S: forward keeps (v, v', w...) outside S,
+    # backward takes u and u' from S
+    if forward:
+        if not s_set.isdisjoint((roles.v, roles.v_prime, *roles.w)):
+            return "the pivot-side replacement edge would still touch S"
+    elif roles.u not in s_set or roles.u_prime not in s_set:
+        return "backward swap needs both inner roles inside S"
+    for e in added:
+        if len(set(e)) != g.d:
+            return f"replacement edge {e} collapses to fewer than d vertices"
+        if e in g.edge_set:
+            return f"replacement edge {e} already exists"
+    if added[0] == added[1]:
+        return "replacement edges coincide"
+    return None
+
+
+def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, candidates,
+                exhausted: Optional[str]) -> tuple[Hypergraph, SwapRecord]:
+    """Apply the first admissible candidate; raise `exhausted` when none is, or,
+    for pinned roles (`exhausted` None), the candidate's own refusal."""
+    forward = direction == "forward"
+    s_set = set(vs)
+    blocked = set(region.vertices)
+    for roles in candidates:
+        removed, added = _rewire(roles, forward)
+        refusal = _refusal(g, roles, forward, removed, added, s_set, blocked)
+        if refusal is None:
+            g2 = g.replace_edges(removed=removed, added=added)
+            undominated = domination_status(g2, vs).undominated
+            # forward leaves the pivot undominated; backward leaves none
+            if (roles.v not in undominated) if forward else undominated:
+                raise AssertionError(f"{direction} swap did not flip the domination of S")
+            return g2, SwapRecord(removed=removed, added=added, roles=roles,
+                                  direction=direction, protected=region)
+        if exhausted is None:
+            raise SwapNotFound(refusal)
+    raise SwapNotFound(exhausted)
 
 
 def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
@@ -180,56 +240,37 @@ def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
 
     Afterwards the pivot v shares no edge with S, so S stops dominating.
     """
-    vs = as_vertex_set(s, g.n)
-    s_set = set(vs)
-    if not is_dominating_set(g, vs):
-        raise ValueError("forward swap needs a dominating set")
-    blocked = set(region.vertices)
-
+    vs, pivots = _pivots(g, s, region)
     if roles is not None:
-        e1 = tuple(sorted((roles.u, roles.v, *roles.z)))
-        e2 = tuple(sorted((roles.u_prime, roles.v_prime, *roles.w)))
-        if (roles.v, roles.u, e1) not in _pivot_candidates(g, s_set, blocked):
+        e1 = _edge(roles.u, roles.v, roles.z)
+        if (roles.v, roles.u, e1) not in pivots:
             raise SwapNotFound(f"vertex {roles.v} is not a pivot via {e1}")
-        g2, record = _apply(g, e1, e2, roles, "forward", region, blocked, s_set)
-        return _check_forward_post(g2, record, s_set)
-
-    pivots = _pivot_candidates(g, s_set, blocked)
-    pivots = [(v, u, e1) for (v, u, e1) in pivots
-              if u not in blocked and not any(x in blocked for x in e1)]
+        return _first_swap(g, vs, region, "forward", [roles], None)
     if not pivots:
         raise SwapNotFound("no pivot vertex outside the protected region")
-    partners_all = sorted(
-        (v2, u2, e2)
-        for e2, u2 in _single_s_edges(g, s_set, blocked)
-        for v2 in e2 if v2 != u2
-    )
+    s_set = set(vs)
+    blocked = set(region.vertices)
+    partners = []  # (v', u', e2): e2 avoids the region and holds only u' of S
+    for e2 in g.edges:
+        in_s = [x for x in e2 if x in s_set]
+        if len(in_s) == 1 and not any(x in blocked for x in e2):
+            partners += [(v2, in_s[0], e2) for v2 in e2 if v2 != in_s[0]]
+    partners.sort()
     if rng is not None:
         rng.shuffle(pivots)
-        rng.shuffle(partners_all)
+        rng.shuffle(partners)
 
-    for v, u, e1 in pivots:
-        z = tuple(x for x in e1 if x != u and x != v)
-        for v2, u2, e2 in partners_all:
-            if e2 == e1 or u2 == u or v2 == v or v in e2:
-                continue
-            w = tuple(x for x in e2 if x != u2 and x != v2)
-            roles_try = SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=w)
-            try:
-                g2, record = _apply(g, e1, e2, roles_try, "forward", region, blocked, s_set)
-            except SwapNotFound:
-                continue
-            return _check_forward_post(g2, record, s_set)
-    raise SwapNotFound("no admissible partner pair for any pivot")
+    def candidates():
+        for v, u, e1 in pivots:
+            z = _rest(e1, u, v)
+            for v2, u2, e2 in partners:
+                # v meets S only through e1, so u2 != u also rules out e2 == e1
+                # and every e2 containing v
+                if u2 != u:
+                    yield SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=_rest(e2, u2, v2))
 
-
-def _check_forward_post(g2: Hypergraph, record: SwapRecord, s_set: set[int]):
-    s_mask = 0
-    for x in s_set:
-        s_mask |= 1 << x
-    if g2.neighborhood_masks[record.roles.v] & s_mask:
-        raise AssertionError("forward swap left the pivot vertex dominated")
-    return g2, record
+    return _first_swap(g, vs, region, "forward", candidates(),
+                       "no admissible partner pair for any pivot")
 
 
 def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedRegion(),
@@ -244,35 +285,20 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
     g._check_vertex(v)
     if v in s_set:
         raise ValueError(f"vertex {v} is inside the candidate set")
-    status = domination_status(g, vs)
-    if status.dominated[v]:
+    if domination_status(g, vs).dominated[v]:
         raise ValueError(f"vertex {v} is already dominated")
     blocked = set(region.vertices)
     if v in blocked:
         raise SwapNotFound(f"undominated vertex {v} lies in the protected region")
-
     if roles is not None:
-        e1 = tuple(sorted((roles.u, roles.u_prime, *roles.z)))
-        e2 = tuple(sorted((roles.v, roles.v_prime, *roles.w)))
-        g2, record = _apply(g, e1, e2, roles, "backward", region, blocked, s_set)
-        return _check_backward_post(g2, record, vs)
+        return _first_swap(g, vs, region, "backward", [roles], None)
 
-    inner: list[tuple[int, int, Edge]] = []
-    for e in g.edges:
-        if any(x in blocked for x in e):
-            continue
-        in_s = sorted(x for x in e if x in s_set and x not in blocked)
-        for u in in_s:
-            for u2 in in_s:
-                if u2 != u:
-                    inner.append((u, u2, e))
-    inner.sort()
-    outer = sorted(
-        (v2, e2)
-        for e2 in g.incidence[v]
-        if not any(x in blocked for x in e2)
-        for v2 in e2 if v2 != v
-    )
+    inner = sorted(  # (u, u', e1): e1 avoids the region and holds u != u' of S
+        (u, u2, e1) for e1 in g.edges if not any(x in blocked for x in e1)
+        for u in e1 if u in s_set for u2 in e1 if u2 in s_set and u2 != u)
+    outer = sorted(  # (v', e2): e2 holds v and avoids the region
+        (v2, e2) for e2 in g.incidence[v] if not any(x in blocked for x in e2)
+        for v2 in e2 if v2 != v)
     if rng is not None:
         rng.shuffle(inner)
         rng.shuffle(outer)
@@ -281,63 +307,14 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
     if not outer:
         raise SwapNotFound(f"vertex {v} has no usable edge to a partner vertex")
 
-    for u, u2, e1 in inner:
-        z = tuple(x for x in e1 if x != u and x != u2)
-        for v2, e2 in outer:
-            if e2 == e1:
-                continue
-            w = tuple(x for x in e2 if x != v and x != v2)
-            roles_try = SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=w)
-            try:
-                g2, record = _apply(g, e1, e2, roles_try, "backward", region, blocked, s_set)
-            except SwapNotFound:
-                continue
-            return _check_backward_post(g2, record, vs)
-    raise SwapNotFound("no admissible role assignment for the backward swap")
+    def candidates():
+        for u, u2, e1 in inner:
+            z = _rest(e1, u, u2)
+            for v2, e2 in outer:  # v is undominated, so e2 never meets S
+                yield SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=_rest(e2, v, v2))
 
-
-def _check_backward_post(g2: Hypergraph, record: SwapRecord, vs):
-    if not is_dominating_set(g2, vs):
-        raise AssertionError("backward swap did not restore domination")
-    return g2, record
-
-
-def _apply(g: Hypergraph, e1: Edge, e2: Edge, roles: SwapRoles, direction: str,
-           region: ProtectedRegion, blocked: set[int], s_set: set[int]) -> tuple[Hypergraph, SwapRecord]:
-    if e1 not in g.edge_set or e2 not in g.edge_set:
-        raise SwapNotFound(f"edges {e1}, {e2} are not both present")
-    if e1 == e2:
-        raise SwapNotFound("the two swapped edges must differ")
-    for e in (e1, e2):
-        if any(x in blocked for x in e):
-            raise SwapNotFound(f"edge {e} touches the protected region")
-    for x in (roles.u, roles.v, roles.u_prime, roles.v_prime):
-        if x in blocked:
-            raise SwapNotFound(f"role vertex {x} lies in the protected region")
-
-    if direction == "forward":
-        added1 = tuple(sorted((roles.u, roles.u_prime, *roles.z)))
-        added2 = tuple(sorted((roles.v, roles.v_prime, *roles.w)))
-        if any(x in s_set for x in (roles.v, roles.v_prime)) or any(x in s_set for x in roles.w):
-            raise SwapNotFound("the pivot-side replacement edge would still touch S")
-    else:
-        added1 = tuple(sorted((roles.v, roles.u, *roles.z)))
-        added2 = tuple(sorted((roles.v_prime, roles.u_prime, *roles.w)))
-        if roles.u not in s_set or roles.u_prime not in s_set:
-            raise SwapNotFound("backward swap needs both inner roles inside S")
-
-    for e in (added1, added2):
-        if len(set(e)) != g.d:
-            raise SwapNotFound(f"replacement edge {e} collapses to fewer than d vertices")
-        if e in g.edge_set:
-            raise SwapNotFound(f"replacement edge {e} already exists")
-    if added1 == added2:
-        raise SwapNotFound("replacement edges coincide")
-
-    g2 = g.replace_edges(removed=(e1, e2), added=(added1, added2))
-    record = SwapRecord(removed=(e1, e2), added=(added1, added2),
-                        roles=roles, direction=direction, protected=region)
-    return g2, record
+    return _first_swap(g, vs, region, "backward", candidates(),
+                       "no admissible role assignment for the backward swap")
 
 
 def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedRegion(),

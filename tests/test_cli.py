@@ -198,6 +198,15 @@ class TestSwapCli:
                            "--out", str(tmp_path / "x"))
         assert code == 1  # every candidate edge touches the region
 
+    @pytest.mark.parametrize("vh", ["0,7", "0,0"])
+    def test_region_must_be_a_vertex_set(self, tmp_path, capsys, vh):
+        src = str(tmp_path / "fig.json")
+        write_instance(Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)]), src)
+        code, _, err = run(capsys, "swap", "--in", src, "--set", "0,1,4",
+                           "--dir", "forward", "--vh", vh, "--out", str(tmp_path / "x"))
+        assert code == 1 and err.startswith("error:")
+        assert not (tmp_path / "x_swapped.json").exists()
+
 
 class TestPairCli:
     def test_writes_three_files(self, tmp_path, capsys):
@@ -212,6 +221,15 @@ class TestPairCli:
         assert g_yes.n == g_no.n == 30
         assert record["yes_count"] == 1
         assert {tuple(e) for e in record["swap"]["removed"]}.issubset(g_yes.edge_set)
+
+
+    @pytest.mark.parametrize("vh_size", ["-4", "27", "1000"])
+    def test_region_size_out_of_range(self, tmp_path, capsys, vh_size):
+        # n=30, d=3: a swap needs d+1 = 4 vertices outside the region
+        code, _, err = run(capsys, "pair", "--n", "30", "--d", "3", "--k", "3",
+                           "--delta", "0.5", "--seed", "11", "--vh-size", vh_size,
+                           "--out-prefix", str(tmp_path / "pair"))
+        assert code == 1 and err.startswith("error: --vh-size")
 
 
 class TestExperimentCli:

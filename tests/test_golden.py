@@ -1,4 +1,4 @@
-"""Golden digests: sampled instances, exact counts and `hsi pair` files.
+"""Golden digests: sampled instances, exact counts, `hsi pair` and `hsi swap` files.
 
 Each test hashes the output of a fixed list of inputs and compares it with the
 sha256 recorded when the digest was introduced.  Any change to the sampler's
@@ -11,8 +11,11 @@ import math
 from pathlib import Path
 
 import hsi.cli as cli
+from hsi.hypergraph import Hypergraph, is_quasi_dominating, write_instance
 from hsi.model import ModelParams, calibrate_p, sample_hypergraph
+from hsi.rng import STREAM_SWAP, SplitMix64, derive_seed
 from hsi.solvers import enumerate_dominating_sets, enumerate_quasi_dominating_sets
+from hsi.swaps import ProtectedRegion, SwapNotFound, backward_swap, forward_swap
 
 # (n, d, p): d = 2, 3, 4; p = 0; p = 1; p > 0.5 takes the complement branch
 SAMPLE_CASES = [
@@ -67,3 +70,60 @@ def test_pair_files(tmp_path, capsys):
             lines.append(Path(prefix + suffix).read_text())
     capsys.readouterr()
     assert _sha(lines) == "11ff6789ef748f59e7be32db346bf5db8ad1da70f342f6524bd3a8a7c5af84a1"
+
+
+# (n, d, p, k) for the seeded swaps; the last instance leaves the undominated
+# vertex 4 of S = {0, 1} without any edge
+SWAP_CASES = [(12, 3, 0.12, 2), (16, 2, 0.25, 3), (20, 3, 0.05, 3),
+              (30, 3, calibrate_p(30, 3, 3, 0.5), 3)]
+SWAP_REGIONS = ((), (0, 1), (0, 1, 2, 3, 4))
+
+
+def _swap_instances():
+    for n, d, p, k in SWAP_CASES:
+        for seed in range(6):
+            g = _instance(n, d, p, seed, k)
+            yield (g, enumerate_dominating_sets(g, k, witness_cap=2).witnesses,
+                   enumerate_quasi_dominating_sets(g, k, witness_cap=2).witnesses)
+    yield Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3)]), (), ((0, 1),)
+
+
+def _library_swap(g, s, direction, region, rng):
+    """The swap's result (forward: with its pinned-roles round trip) or its
+    refusal message, then the generator's next draw."""
+    try:
+        if direction == "forward":
+            g2, rec = forward_swap(g, s, region=region, rng=rng)
+            g_back, rec_back = backward_swap(g2, s, rec.roles.v, roles=rec.roles)
+            assert g_back == g and rec_back.added == rec.removed
+            outcome = (g2.edges, rec, rec_back)
+        else:
+            g2, rec = backward_swap(g, s, is_quasi_dominating(g, s), region=region, rng=rng)
+            outcome = (g2.edges, rec)
+    except SwapNotFound as exc:
+        outcome = str(exc)
+    return outcome, rng.next_u64() if rng is not None else None
+
+
+def test_seeded_swaps(tmp_path, capsys):
+    lines = []
+    for j, (g, dominating, quasi) in enumerate(_swap_instances()):
+        src = str(tmp_path / f"g{j}.json")
+        write_instance(g, src)
+        for direction, sets in (("forward", dominating), ("backward", quasi)):
+            for s in sets:
+                for vh in SWAP_REGIONS:
+                    for seed in (None, 0, 1):
+                        prefix = str(tmp_path / f"{j}_{direction}_{s}_{len(vh)}_{seed}")
+                        argv = ["swap", "--in", src, "--set", ",".join(map(str, s)),
+                                "--dir", direction, "--out", prefix]
+                        argv += ["--vh", ",".join(map(str, vh))] if vh else []
+                        argv += ["--seed", str(seed)] if seed is not None else []
+                        code = cli.main(argv)
+                        err = capsys.readouterr().err
+                        files = [Path(prefix + suffix).read_text()
+                                 for suffix in ("_swapped.json", "_record.json")] if code == 0 else []
+                        rng = SplitMix64(derive_seed(seed, STREAM_SWAP)) if seed is not None else None
+                        lines.append(repr((j, direction, s, vh, seed, code, err, files,
+                                           _library_swap(g, s, direction, ProtectedRegion(vh), rng))))
+    assert _sha(lines) == "5a3e42c733a7652ea201d3459ea8c7a5d7e56756655de359a4c69b00406ba854"

@@ -14,8 +14,6 @@ from hsi.hypergraph import (
     is_quasi_dominating,
     loads_instance,
     read_instance,
-    to_hitting_instance,
-    vertex_edge_degree,
     write_instance,
 )
 
@@ -88,12 +86,12 @@ class TestNeighborhoods:
         with pytest.raises(ValueError):
             closed_neighborhood(G52, 5)
         with pytest.raises(ValueError):
-            vertex_edge_degree(G52, -1)
+            G52.degree(-1)
 
     def test_degree_examples(self):
-        assert vertex_edge_degree(G52, 2) == 2
-        assert vertex_edge_degree(G52, 0) == 1
-        assert vertex_edge_degree(Hypergraph(3, 2, ()), 1) == 0
+        assert G52.degree(2) == 2
+        assert G52.degree(0) == 1
+        assert Hypergraph(3, 2, ()).degree(1) == 0
 
 
 class TestDomination:
@@ -122,20 +120,21 @@ class TestDomination:
         assert is_quasi_dominating(g, (0, 1, 2, 3)) is None
 
 
+def hits_every_neighborhood(g, s):
+    """The hitting-set form: S meets the closed neighborhood S_u of every u."""
+    return all(set(s).intersection(closed_neighborhood(g, u)) for u in range(g.n))
+
+
 class TestHitting:
     def test_family_examples(self):
-        fam = to_hitting_instance(G52)
-        assert fam.sets[2] == (0, 1, 2, 3, 4)
-        assert fam.sets[0] == (0, 1, 2)
-        edgeless = to_hitting_instance(Hypergraph(3, 2, ()))
-        assert edgeless.sets == ((0,), (1,), (2,))
-        assert edgeless.hits_all((0, 1, 2))
-        assert not edgeless.hits_all((0, 1))
+        edgeless = Hypergraph(3, 2, ())
+        assert [closed_neighborhood(edgeless, u) for u in range(3)] == [(0,), (1,), (2,)]
+        assert hits_every_neighborhood(edgeless, (0, 1, 2))
+        assert not hits_every_neighborhood(edgeless, (0, 1))
 
     def test_complete_graph(self):
         complete = Hypergraph(4, 3, itertools.combinations(range(4), 3))
-        fam = to_hitting_instance(complete)
-        assert all(su == (0, 1, 2, 3) for su in fam.sets)
+        assert all(closed_neighborhood(complete, u) == (0, 1, 2, 3) for u in range(4))
 
 
 class TestProperties:
@@ -156,8 +155,7 @@ class TestProperties:
     @given(hypergraph_and_set())
     def test_hitting_equivalence(self, gs):
         g, s = gs
-        fam = to_hitting_instance(g)
-        assert (domination_status(g, s).undominated == ()) == fam.hits_all(s)
+        assert (domination_status(g, s).undominated == ()) == hits_every_neighborhood(g, s)
 
     @given(hypergraphs())
     def test_neighborhood_symmetry(self, g):

@@ -11,10 +11,9 @@ from hsi.model import (
     choose_k,
     count_M,
     count_Mi,
-    counts_for_overlap,
     sample_hypergraph,
 )
-from hsi.moments import expected_count
+from hsi.moments import expected_count, quasi_second_moment
 
 
 class TestCounts:
@@ -31,6 +30,9 @@ class TestCounts:
 
     def test_count_mi_examples(self):
         assert count_Mi(10, 2, 1, 3) == 21
+        # with M=15 at this overlap i=1, the block outside the union of the two
+        # 2-sets holds n-2k+i = 7 vertices
+        assert quasi_second_moment(10, 3, 2, 0.1).m_terms[1] == 7
         assert count_Mi(10, 2, 2, 3) == count_M(10, 2, 3)
         assert count_Mi(10, 2, 0, 3) == 26
 
@@ -49,10 +51,6 @@ class TestCounts:
         assert values[-1] == m
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(m <= v <= 2 * m for v in values)
-
-    def test_counts_for_overlap_bundle(self):
-        c = counts_for_overlap(10, 2, 1, 3)
-        assert (c.M, c.M_i, c.m_i) == (15, 21, 7)
 
 
 class TestAsymptoticP:

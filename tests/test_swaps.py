@@ -36,6 +36,31 @@ class TestFindPivot:
         region = ProtectedRegion(vertices=(1, 2))
         assert find_pivot(STAR, (0,), region) == (3, 0, (0, 3, 4))
 
+    def test_region_holding_u_leaves_no_pivot(self):
+        # u = 0 lies in every edge, so the region blocks every pivot edge
+        region = ProtectedRegion(vertices=(0,))
+        with pytest.raises(SwapNotFound, match="no pivot vertex"):
+            find_pivot(STAR, (0,), region)
+        with pytest.raises(SwapNotFound, match="no pivot vertex"):
+            forward_swap(STAR, (0,), region)
+
+    def test_pivot_is_usable_by_forward_swap(self):
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5, seed=77)
+        region = ProtectedRegion.sized(30, 0.5)
+        checked = 0
+        for seed in range(40):
+            result = _try_pair(params.with_seed(seed), region)
+            if result is None:
+                continue
+            g, s, _, rec = result
+            checked += 1
+            v, u, e1 = find_pivot(g, s, region)
+            # without rng the search tries pivots lowest first, so the pivot it
+            # used comes no earlier than the lowest one
+            assert v <= rec.roles.v and u in s and v in e1
+            assert not set(region.vertices).intersection(e1)
+        assert checked >= 3
+
     def test_full_set_has_no_pivot(self):
         with pytest.raises(SwapNotFound):
             find_pivot(STAR, tuple(range(7)))
@@ -176,7 +201,7 @@ class TestRoundTrip:
         assert built >= 5
 
 
-def _try_pair(params):
+def _try_pair(params, region=ProtectedRegion()):
     from hsi.model import sample_hypergraph
 
     g = sample_hypergraph(params)
@@ -185,7 +210,7 @@ def _try_pair(params):
         return None
     s = rep.witnesses[0]
     try:
-        g_no, rec = forward_swap(g, s)
+        g_no, rec = forward_swap(g, s, region=region)
     except SwapNotFound:
         return None
     return g, s, g_no, rec
