@@ -30,9 +30,6 @@ class TestCounts:
 
     def test_count_mi_examples(self):
         assert count_Mi(10, 2, 1, 3) == 21
-        # with M=15 at this overlap i=1, the block outside the union of the two
-        # 2-sets holds n-2k+i = 7 vertices
-        assert quasi_second_moment(10, 3, 2, 0.1).m_terms[1] == 7
         assert count_Mi(10, 2, 2, 3) == count_M(10, 2, 3)
         assert count_Mi(10, 2, 0, 3) == 26
 
@@ -51,6 +48,12 @@ class TestCounts:
         assert values[-1] == m
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(m <= v <= 2 * m for v in values)
+
+    def test_counts_for_overlap_bundle(self):
+        # M, M_i and m_i at n=10, k=2, overlap i=1, d=3: m_i = n-2k+i is the
+        # block outside the union of the two k-sets
+        m_terms = quasi_second_moment(10, 3, 2, 0.1).m_terms
+        assert (count_M(10, 2, 3), count_Mi(10, 2, 1, 3), m_terms[1]) == (15, 21, 7)
 
 
 class TestAsymptoticP:
