@@ -53,7 +53,6 @@ from .solvers import (
 )
 from .swaps import (
     PairResult,
-    PivotDiagnostics,
     ProtectedRegion,
     RetriesExhausted,
     SwapNotFound,
@@ -63,7 +62,6 @@ from .swaps import (
     build_selfref_pair,
     find_pivot,
     forward_swap,
-    pivot_diagnostics,
 )
 from .experiments import (
     DegenerateEstimate,

@@ -1,17 +1,23 @@
 """Closed-form moments, correlation ratios, and probability bounds.
 
-Everything here evaluates in log space: powers reach exponents of 10^6, so
-products accumulate as sums of logs, with expm1/log1p primitives wherever a
-quantity is a small difference of near-equal terms.  In particular
+Everything here evaluates in log space, from the per-(n,d,k,p) quantities to
+the report's float fields: powers reach exponents of 10^6, so products
+accumulate as sums of logs, with log1p/log1mexp primitives wherever a quantity
+is a small difference of near-equal terms.  With L = log1p(-p),
 
-  q0        = (1-p)^M                       miss probability of one set
-  1 - q0    = -expm1(M log1p(-p))           without cancellation
-  q0 - q00  = q0 (-expm1((M_i-M) log1p(-p)))
-  q00 - q0^2 = q00 (-expm1((2M-M_i) log1p(-p)))
-  q11       = (1-q0)^2 + (q00 - q0^2)       both addends nonnegative
+  log q0          = M L                          miss probability of one set
+  log(1-q0)       = log1mexp(M L)                without cancellation
+  log q00         = M_i L                        miss against both sets
+  log(q0-q00)     = log q0 + log1mexp((M_i-M) L)
+  log(q00-q0^2)   = log q00 + log1mexp((2M-M_i) L)
+  log q11         = logaddexp(2 log(1-q0), log(q00-q0^2))
+  lift            = log1p(e^{log(q00-q0^2) - 2 log(1-q0)}) = log q11 - 2 log(1-q0)
 
-where q00 = (1-p)^{M_i} and q11 = 1 - 2 q0 + q00 is the probability that a
-vertex is dominated by both of two overlapping sets.
+where q11 = 1 - 2 q0 + q00 is the probability that a vertex is dominated by
+both of two overlapping sets; lift >= 0 is the log of the correlation
+ratio's base q11/(1-q0)^2.  Sums of terms go through logsumexp, and `exp`
+is taken only for the reported floats, so a reported per-term float may read
+0.0 while the total it feeds is exact.
 
 Note the first-moment product over vertices treats per-vertex undomination as
 independent.  That is exact for d = 2 (the relevant edge sets are disjoint)
@@ -30,6 +36,7 @@ from typing import NamedTuple, Optional
 from .model import count_M, count_Mi
 
 _NEG_INF = float("-inf")
+_LOG2 = math.log(2.0)
 
 
 def _lcomb(n: int, k: int) -> float:
@@ -44,13 +51,14 @@ def _log1mexp(a: float) -> float:
     """log(1 - e^a) for a <= 0."""
     if a == 0.0:
         return _NEG_INF
-    if a < -math.log(2.0):
+    if a < -_LOG2:
         return math.log1p(-math.exp(a))
     return math.log(-math.expm1(a))
 
 
-def _safe_log(x: float) -> float:
-    return _NEG_INF if x == 0.0 else math.log(x)
+def _log1pexp(a: float) -> float:
+    """log(1 + e^a), finite for every finite a."""
+    return a + math.log1p(math.exp(-a)) if a > 0.0 else math.log1p(math.exp(a))
 
 
 def _exp(x: float) -> float:
@@ -72,44 +80,51 @@ def _logsumexp(logs) -> float:
     return mx + math.log(sum(math.exp(x - mx) for x in logs))
 
 
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) to the last digit, which log q11 needs: it is raised to
+    powers near n."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi if hi == _NEG_INF else hi + math.log1p(math.exp(lo - hi))
+
+
 def _validate_p(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"need 0 <= p <= 1, got {p}")
 
 
 class _Miss:
-    """Shared per-(n,d,k,p) quantities for the moment formulas."""
+    """Shared per-(n,d,k,p) logs for the moment formulas."""
 
     def __init__(self, n: int, d: int, k: int, p: float):
-        self.n, self.d, self.k, self.p = n, d, k, p
+        self.n, self.d, self.k = n, d, k
         self.M = count_M(n, k, d)
         self.L = math.log1p(-p) if p < 1.0 else _NEG_INF
         self.logq0 = self.M * self.L if self.M else 0.0
-        self.q0 = math.exp(self.logq0)
-        self.omq0 = -math.expm1(self.logq0)
         self.log_omq0 = _log1mexp(self.logq0)
 
     def overlap(self, i: int) -> "_Overlap":
         Mi = count_Mi(self.n, self.k, i, self.d)
-        mi = self.n - 2 * self.k + i
-        if self.p == 1.0:
-            return _Overlap(Mi=Mi, mi=mi, q00=0.0, q11=1.0, dq=0.0, excess=0.0)
-        q00 = math.exp(Mi * self.L)
-        # q00 - q0^2 = q00 (1 - e^{(2M-Mi)L}) and q0 - q00 = q0 (1 - e^{(Mi-M)L}):
-        # factoring out the larger term keeps expm1's argument <= 0
-        excess = q00 * -math.expm1((2 * self.M - Mi) * self.L)
-        q11 = self.omq0 * self.omq0 + excess
-        dq = self.q0 * -math.expm1((Mi - self.M) * self.L)
-        return _Overlap(Mi=Mi, mi=mi, q00=q00, q11=q11, dq=dq, excess=excess)
+        log_q00 = _log_pow(self.L, Mi)
+        # q0 - q00 = q0 (1 - e^{(Mi-M)L}) and q00 - q0^2 = q00 (1 - e^{(2M-Mi)L}):
+        # factoring out the larger term keeps log1mexp's argument <= 0
+        log_excess = log_q00 + _log1mexp(_log_pow(self.L, 2 * self.M - Mi))
+        two_log_omq0 = 2.0 * self.log_omq0
+        return _Overlap(
+            mi=self.n - 2 * self.k + i,
+            log_q00=log_q00,
+            log_dq=self.logq0 + _log1mexp(_log_pow(self.L, Mi - self.M)),
+            lift=_log1pexp(log_excess - two_log_omq0),
+            # q11 = (1-q0)^2 + (q00 - q0^2), both addends nonnegative
+            log_q11=_logaddexp(two_log_omq0, log_excess),
+        )
 
 
 class _Overlap(NamedTuple):
-    Mi: int
-    mi: int
-    q00: float   # miss probability against both sets
-    q11: float   # both-dominated probability 1 - 2 q0 + q00
-    dq: float    # q0 - q00
-    excess: float  # q00 - q0^2 >= 0, the positive-association surplus
+    mi: int          # vertices outside both sets, n - 2k + i
+    log_q00: float   # miss probability against both sets
+    log_dq: float    # q0 - q00
+    lift: float      # log(q11/(1-q0)^2) >= 0, the positive-association surplus
+    log_q11: float   # both-dominated probability 1 - 2 q0 + q00
 
 
 @dataclass(frozen=True)
@@ -199,14 +214,14 @@ def second_moment(n: int, d: int, k: int, p: float) -> MomentReport:
         ov = miss.overlap(i)
         logs.append(lcnk + _lcomb(k, i) + _lcomb(n - k, k - i)
                     + _log_pow(miss.log_omq0, 2 * (k - i))
-                    + _log_pow(_safe_log(ov.q11), ov.mi))
+                    + _log_pow(ov.log_q11, ov.mi))
     log_e2 = _logsumexp(logs)
     return MomentReport(
         expected_count=_exp(log_e),
         f_terms=tuple(_exp(x) for x in logs),
         second_moment=_exp(log_e2),
         ratio_to_square=_exp(log_e2 - 2.0 * log_e),
-        q0=miss.q0,
+        q0=_exp(miss.logq0),
     )
 
 
@@ -226,14 +241,8 @@ def ds_correlation_ratio(n: int, d: int, k: int, i: int, p: float) -> Correlatio
         raise ValueError(f"union size 2k-i={2*k-i} exceeds n={n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    miss = _Miss(n, d, k, p)
-    ov = miss.overlap(i)
-    # log(q11/(1-q0)^2) as log1p(excess/(1-q0)^2): nonnegative by construction
-    if miss.omq0 > 0.0:
-        base = math.log1p(ov.excess / (miss.omq0 * miss.omq0))
-    else:
-        base = _safe_log(ov.q11) - 2.0 * miss.log_omq0
-    log_value = _log_pow(base, ov.mi)
+    ov = _Miss(n, d, k, p).overlap(i)
+    log_value = _log_pow(ov.lift, ov.mi)
     t = i / k
     log_ln = math.log(math.log(n) ** 2)
     surrogate = _exp(math.exp((2.0 - t) * log_ln - (1.0 - t) * math.log(n)))
@@ -293,52 +302,43 @@ def quasi_second_moment(n: int, d: int, k: int, p: float) -> QuasiMomentReport:
     miss = _Miss(n, d, k, p)
     logq0, log_omq0 = miss.logq0, miss.log_omq0
 
-    phi, w, p1s, p2s, p3s, p4s, q00s, q11s, ms = [], [], [], [], [], [], [], [], []
-    log_terms = []  # log Phi(i) W(i): Phi(0) alone can exceed float range
+    phi, ms, log_rows = [], [], []
     for i in range(k + 1):
         ov = miss.overlap(i)
-        mi, q00, q11, dq = ov.mi, ov.q00, ov.q11, ov.dq
-        log_q11 = _safe_log(q11)
-        log_dq = _safe_log(dq)
-        ko = k - i
-
-        p1 = 0.0 if mi == 0 else math.exp(
-            math.log(mi) + _safe_log(q00) + _log_pow(log_q11, mi - 1)
+        mi, ko, log_q11, log_dq = ov.mi, k - i, ov.log_q11, ov.log_dq
+        # a case whose count factor is zero contributes log 0
+        lp1 = _NEG_INF if mi == 0 else (
+            math.log(mi) + ov.log_q00 + _log_pow(log_q11, mi - 1)
             + _log_pow(log_omq0, 2 * ko))
-        p2 = 0.0 if mi < 2 else math.exp(
+        lp2 = _NEG_INF if mi < 2 else (
             math.log(mi) + math.log(mi - 1) + 2.0 * log_dq
             + _log_pow(log_q11, mi - 2) + _log_pow(log_omq0, 2 * ko))
-        p3 = 0.0 if ko == 0 else math.exp(
+        lp3 = _NEG_INF if ko == 0 else (
             2.0 * math.log(ko) + 2.0 * logq0 + _log_pow(log_q11, mi)
             + _log_pow(log_omq0, 2 * ko - 2))
-        p4 = 0.0 if (ko == 0 or mi == 0) else math.exp(
+        lp4 = _NEG_INF if (ko == 0 or mi == 0) else (
             math.log(ko) + math.log(mi) + logq0 + log_dq
             + _log_pow(log_q11, mi - 1) + _log_pow(log_omq0, 2 * ko - 1))
-
-        wi = p1 + p2 + p3 + 2.0 * p4
+        log_w = _logsumexp((lp1, lp2, lp3, _LOG2 + lp4))
         phi.append(math.comb(n, k) * math.comb(k, i) * math.comb(n - k, k - i))
-        log_terms.append(_safe_log(phi[-1]) + _safe_log(wi))
-        w.append(wi)
-        p1s.append(p1)
-        p2s.append(p2)
-        p3s.append(p3)
-        p4s.append(p4)
-        q00s.append(q00)
-        q11s.append(q11)
         ms.append(mi)
+        log_rows.append((log_w, lp1, lp2, lp3, lp4, ov.log_q00, log_q11))
 
+    # log Phi(i) W(i): Phi(0) alone can exceed float range, W(i) fall below it
+    log_e2 = _logsumexp([math.log(f) + row[0] for f, row in zip(phi, log_rows)])
+    w, p1s, p2s, p3s, p4s, q00s, q11s = (tuple(map(_exp, col)) for col in zip(*log_rows))
     return QuasiMomentReport(
         expected_quasi=quasi_expected(n, d, k, p).value,
         phi_terms=tuple(phi),
-        w_terms=tuple(w),
-        p1_terms=tuple(p1s),
-        p2_terms=tuple(p2s),
-        p3_terms=tuple(p3s),
-        p4_terms=tuple(p4s),
-        second_moment=_exp(_logsumexp(log_terms)),
-        q0=miss.q0,
-        q00_terms=tuple(q00s),
-        q11_terms=tuple(q11s),
+        w_terms=w,
+        p1_terms=p1s,
+        p2_terms=p2s,
+        p3_terms=p3s,
+        p4_terms=p4s,
+        second_moment=_exp(log_e2),
+        q0=_exp(logq0),
+        q00_terms=q00s,
+        q11_terms=q11s,
         m_terms=tuple(ms),
     )
 

@@ -16,7 +16,6 @@ Pinned roles are a single candidate whose refusal is raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +26,7 @@ from .hypergraph import (
     domination_status,
     is_dominating_set,
 )
-from .model import ModelParams, count_M, sample_hypergraph
+from .model import ModelParams, sample_hypergraph
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
 from .solvers import DEFAULT_BUDGET, SolveReport, enumerate_dominating_sets
 
@@ -82,14 +81,6 @@ class SwapRecord:
 
 
 @dataclass(frozen=True)
-class PivotDiagnostics:
-    prob_av: float
-    prob_bv: float
-    prob_any_pivot: float
-    m_prime: int
-
-
-@dataclass(frozen=True)
 class PairResult:
     g_yes: Hypergraph
     g_no: Hypergraph
@@ -103,33 +94,6 @@ class PairResult:
     @property
     def flip_succeeded(self) -> bool:
         return self.report_no.count == 0
-
-
-def pivot_diagnostics(n: int, d: int, k: int, p: float, c: float) -> PivotDiagnostics:
-    """Analytic pivot-availability quantities at protected-region exponent c."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"need 0 <= p <= 1, got {p}")
-    if not 1 <= k <= n - 1 or d < 2:
-        raise ValueError(f"invalid (n={n}, d={d}, k={k})")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"need 0 < c < 1, got {c}")
-    M = count_M(n, k, d)
-    h = round(n**c)
-    q = (1.0 - p) ** (M - 1) if M >= 1 else 1.0
-    singles = k * (math.comb(n - 1 - k, d - 2) if n - 1 - k >= d - 2 else 0)
-    prob_av = singles * p * q
-    prob_bv = -math.expm1(M * math.log1p(-p)) if p < 1.0 else 1.0
-    if prob_bv <= 0.0:
-        prob_any = 0.0
-    elif prob_av >= prob_bv:
-        prob_any = 1.0 if n - h - k > 0 else 0.0
-    else:
-        exponent = max(0, n - h - k)
-        prob_any = -math.expm1(exponent * math.log1p(-prob_av / prob_bv))
-    m_prime = (math.comb(n - 1 - h, d - 1) if n - 1 - h >= d - 1 else 0) - \
-              (math.comb(n - k - 1 - h, d - 1) if n - k - 1 - h >= d - 1 else 0)
-    return PivotDiagnostics(prob_av=prob_av, prob_bv=prob_bv,
-                            prob_any_pivot=prob_any, m_prime=m_prime)
 
 
 def _pivots(g: Hypergraph, s, region: ProtectedRegion):
@@ -278,26 +242,37 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
                   roles: Optional[SwapRoles] = None) -> tuple[Hypergraph, SwapRecord]:
     """Inverse rewiring (u,u',z...),(v,v',w...) -> (v,u,z...),(v',u',w...).
 
-    Requires v undominated by S; afterwards S dominates the instance.
+    Requires v undominated by S, and every other vertex S leaves undominated
+    inside one edge (v, v', w...); afterwards S dominates the instance.
     """
     vs = as_vertex_set(s, g.n)
     s_set = set(vs)
     g._check_vertex(v)
     if v in s_set:
         raise ValueError(f"vertex {v} is inside the candidate set")
-    if domination_status(g, vs).dominated[v]:
+    undominated = set(domination_status(g, vs).undominated)
+    if v not in undominated:
         raise ValueError(f"vertex {v} is already dominated")
+    # the swap newly dominates only the vertices of the edge (v, v', w...) it
+    # removes, so that edge must hold every undominated vertex
+    holders = [e2 for e2 in g.incidence[v] if undominated.issubset(e2)]
+    if len(undominated) > 1 and not holders:
+        raise SwapNotFound(f"no edge of {v} holds all undominated vertices {sorted(undominated)}")
     blocked = set(region.vertices)
     if v in blocked:
         raise SwapNotFound(f"undominated vertex {v} lies in the protected region")
     if roles is not None:
+        if roles.v != v:
+            raise SwapNotFound(f"pinned roles move vertex {roles.v}, not the undominated {v}")
+        if not undominated.issubset(_edge(v, roles.v_prime, roles.w)):
+            raise SwapNotFound(f"pinned roles leave some of {sorted(undominated)} undominated")
         return _first_swap(g, vs, region, "backward", [roles], None)
 
     inner = sorted(  # (u, u', e1): e1 avoids the region and holds u != u' of S
         (u, u2, e1) for e1 in g.edges if not any(x in blocked for x in e1)
         for u in e1 if u in s_set for u2 in e1 if u2 in s_set and u2 != u)
-    outer = sorted(  # (v', e2): e2 holds v and avoids the region
-        (v2, e2) for e2 in g.incidence[v] if not any(x in blocked for x in e2)
+    outer = sorted(  # (v', e2): e2 holds the undominated vertices and avoids the region
+        (v2, e2) for e2 in holders if not any(x in blocked for x in e2)
         for v2 in e2 if v2 != v)
     if rng is not None:
         rng.shuffle(inner)

@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+from decimal import Context, Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +34,42 @@ def moment_params(draw, max_n=220):
     d = draw(st.integers(2, min(6, n - 1)))
     p = draw(st.floats(1e-4, 0.999))
     return n, d, k, p
+
+
+@st.composite
+def calibrated_params(draw):
+    n = round(10 ** draw(st.floats(3.0, 6.0)))
+    k = draw(st.integers(1, 60))
+    d = draw(st.integers(2, 4))
+    # at d=2 and small k one float step in p moves E[X] by more than the
+    # default tolerance, so calibrate to 1e-9 of delta
+    return n, d, k, calibrate_p(n, d, k, draw(st.floats(0.05, 0.95)), tol=1e-9)
+
+
+def _decimal_quasi_second_moment(n, d, k, p):
+    """sum_i Phi(i) W(i) in 50-digit decimal arithmetic, from q0, q00, q11, dq."""
+    with localcontext(Context(prec=50, Emin=-10**9, Emax=10**9)):
+        one = Decimal(1)
+        miss = one - Decimal(p)
+        through = math.comb(n - 1, d - 1)
+        q0 = miss ** (through - math.comb(n - 1 - k, d - 1))
+        total = Decimal(0)
+        for i in range(k + 1):
+            q00 = miss ** (through - math.comb(n - 1 - (2 * k - i), d - 1))
+            q11 = one - 2 * q0 + q00
+            dq = q0 - q00
+            mi, ko, hit = n - 2 * k + i, k - i, one - q0
+            w = Decimal(0)
+            if mi >= 1:
+                w += mi * q00 * q11 ** (mi - 1) * hit ** (2 * ko)
+            if mi >= 2:
+                w += mi * (mi - 1) * dq * dq * q11 ** (mi - 2) * hit ** (2 * ko)
+            if ko >= 1:
+                w += ko * ko * q0 * q0 * q11 ** mi * hit ** (2 * ko - 2)
+            if ko >= 1 and mi >= 1:
+                w += 2 * ko * mi * q0 * dq * q11 ** (mi - 1) * hit ** (2 * ko - 1)
+            total += math.comb(n, k) * math.comb(k, i) * math.comb(n - k, k - i) * w
+        return total
 
 
 class TestExpectedCount:
@@ -98,6 +134,12 @@ class TestSecondMoment:
             assert rep.f_terms[k] == pytest.approx(e, rel=1e-12)
             target = e * e * math.comb(n - k, k) / math.comb(n, k)
             assert rep.f_terms[0] == pytest.approx(target, rel=1e-12)
+
+    @given(st.one_of(moment_params(), calibrated_params()))
+    @settings(max_examples=60, deadline=None)
+    def test_second_moment_at_least_square(self, params):
+        # each F(i) is its Vandermonde share of E[X]^2 times e^{m_i lift}, lift >= 0
+        assert second_moment(*params).ratio_to_square >= 1 - 1e-12
 
 
 class TestCorrelationRatios:
@@ -222,13 +264,13 @@ class TestQuasiMoments:
         assert q.second_moment == 0.0
 
     def test_second_moment_past_float_range_of_phi(self):
-        # Phi(0) = C(n,k) C(n-k,k) is about 1e556 here, but Phi(0) W(0) is not
-        n, d, k = 10**6, 3, 60
-        p = calibrate_p(n, d, k, 0.5)
-        q = quasi_second_moment(n, d, k, p)
-        exact = sum(Fraction(phi) * Fraction(wi) for phi, wi in zip(q.phi_terms, q.w_terms))
-        assert math.isfinite(q.second_moment)
-        assert q.second_moment == pytest.approx(float(exact), rel=1e-9)
+        # Phi(0) = C(n,k) C(n-k,k) is about 1e556 at n=10^6 while W(0) is far
+        # below float range; checked against an independent decimal evaluation
+        for n, d, k in ((10**6, 3, 60), (10**4, 3, 9), (400, 3, 6)):
+            p = calibrate_p(n, d, k, 0.5)
+            exact = _decimal_quasi_second_moment(n, d, k, p)
+            assert quasi_second_moment(n, d, k, p).second_moment == pytest.approx(
+                float(exact), rel=1e-9)
 
     def test_p2_zero_when_no_vertex_pair(self):
         q = quasi_second_moment(4, 2, 2, 0.4)
@@ -258,6 +300,15 @@ class TestQuasiMoments:
                 assert en.value / ex == pytest.approx(en.ratio_to_expected, rel=1e-12 + rounding)
                 assert en.ratio_to_expected == pytest.approx(
                     (n - k) * miss0 / (1 - miss0), rel=1e-9)
+
+    @given(st.one_of(moment_params(), calibrated_params()))
+    @settings(max_examples=60, deadline=None)
+    def test_second_moment_at_least_square(self, params):
+        q = quasi_second_moment(*params)
+        en = quasi_expected(*params).value
+        if en > 0:
+            # divided through by E[N], so E[N]^2 cannot overflow
+            assert q.second_moment / en >= en * (1 - 1e-12)
 
 
 class TestBounds:

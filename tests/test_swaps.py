@@ -1,9 +1,7 @@
-import math
-
 import pytest
 
 from hsi.hypergraph import Hypergraph, domination_status, is_dominating_set
-from hsi.model import ModelParams, count_M
+from hsi.model import ModelParams
 from hsi.rng import SplitMix64
 from hsi.solvers import enumerate_dominating_sets
 from hsi.swaps import (
@@ -16,7 +14,6 @@ from hsi.swaps import (
     build_selfref_pair,
     find_pivot,
     forward_swap,
-    pivot_diagnostics,
 )
 
 STAR = Hypergraph(7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)])
@@ -79,35 +76,6 @@ class TestFindPivot:
         assert picks.issubset({1, 2, 3, 4, 5, 6}) and len(picks) > 1
         assert find_pivot(STAR, (0,), rng=SplitMix64(4)) == \
             find_pivot(STAR, (0,), rng=SplitMix64(4))
-
-
-class TestPivotDiagnostics:
-    def test_formula_example(self):
-        diag = pivot_diagnostics(7, 3, 1, 0.5, 0.5)
-        assert count_M(7, 1, 3) == 5
-        assert diag.prob_av == pytest.approx(1 * 5 * 0.5 * 0.5**4, rel=1e-13)
-        assert diag.prob_bv == pytest.approx(1 - 0.5**5, rel=1e-13)
-
-    def test_p_zero(self):
-        diag = pivot_diagnostics(7, 3, 1, 0.0, 0.5)
-        assert diag.prob_av == 0.0 and diag.prob_bv == 0.0 and diag.prob_any_pivot == 0.0
-
-    def test_av_below_bv_on_grid(self):
-        rng = SplitMix64(41)
-        for _ in range(200):
-            n = 6 + rng.randbelow(60)
-            d = 2 + rng.randbelow(3)
-            k = 1 + rng.randbelow(min(5, n - 2))
-            p = rng.random()
-            diag = pivot_diagnostics(n, d, k, p, 0.5)
-            assert diag.prob_av <= diag.prob_bv + 1e-15
-            assert 0.0 <= diag.prob_any_pivot <= 1.0
-            assert diag.m_prime >= 0
-
-    def test_m_prime_value(self):
-        diag = pivot_diagnostics(60, 3, 4, 0.01, 0.5)
-        h = round(60**0.5)
-        assert diag.m_prime == math.comb(59 - h, 2) - math.comb(55 - h, 2)
 
 
 class TestForwardSwap:
@@ -176,6 +144,32 @@ class TestBackwardSwap:
         g = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
         with pytest.raises(SwapNotFound):
             backward_swap(g, (0,), 3)
+
+    def test_pinned_roles_must_move_v(self):
+        g = Hypergraph(8, 3, [(0, 1, 7), (2, 5, 6), (3, 4, 6)])
+        roles = SwapRoles(u=0, v=3, u_prime=1, v_prime=6, z=(7,), w=(4,))
+        with pytest.raises(SwapNotFound, match="pinned roles move vertex 3"):
+            backward_swap(g, (0, 1, 4), 2, roles=roles)
+
+    def test_undominated_vertex_outside_every_edge_of_v(self):
+        # S leaves 2, 5 and the isolated 8 undominated; no edge of 2 holds 8
+        g = Hypergraph(9, 3, [(0, 1, 7), (2, 5, 6), (3, 4, 6)])
+        rng = SplitMix64(5)
+        with pytest.raises(SwapNotFound, match="no edge of 2 holds"):
+            backward_swap(g, (0, 1, 4), 2, rng=rng)
+        assert rng.next_u64() == SplitMix64(5).next_u64()  # refused before any draw
+
+    def test_partner_edge_must_hold_every_undominated_vertex(self):
+        # S = {0, 1, 4} leaves 2 and 5 undominated: of the edges of 2, only
+        # (2, 5, 6) holds both, so the partner (2, 3, 8) cannot flip S
+        g = Hypergraph(10, 3, [(0, 1, 7), (2, 5, 6), (2, 3, 8), (3, 4, 6), (4, 8, 9)])
+        s = (0, 1, 4)
+        pinned = SwapRoles(u=0, v=2, u_prime=1, v_prime=3, z=(7,), w=(8,))
+        with pytest.raises(SwapNotFound, match="pinned roles leave"):
+            backward_swap(g, s, 2, roles=pinned)
+        g2, rec = backward_swap(g, s, 2)
+        assert rec.removed == ((0, 1, 7), (2, 5, 6))
+        assert is_dominating_set(g2, s)
 
 
 class TestRoundTrip:
