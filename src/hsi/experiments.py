@@ -5,6 +5,9 @@ the documented PRNG, so trials are order-independent; every per-trial summary
 is a small integer tuple and aggregation is plain integer addition, which
 makes results bit-identical no matter how trials are split across workers.
 Worker count comes from the call site or the HSI_THREADS environment variable.
+A trial kernel never builds a `Hypergraph`: it draws its instance's edge ranks
+and counts on bitmasks built straight from them, the instance
+`sample_hypergraph` would give for the trial's seed.
 
 Hard gates assert only exact facts: exactness at d=2, vertex-cover exactness,
 Markov consistency, and the analytic trend of the second-moment ratio.  The
@@ -19,8 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .hypergraph import is_dominating_set
-from .model import ModelParams, calibrate_p, sample_hypergraph
+from .model import ModelParams, _closed_masks, _edge_masks, _edge_ranks, calibrate_p
 from .moments import (
     ds_correlation_ratio,
     expected_count,
@@ -30,12 +32,7 @@ from .moments import (
     vc_correlation_ratio,
 )
 from .rng import STREAM_TRIALS, indexed_seed
-from .solvers import (
-    DEFAULT_BUDGET,
-    enumerate_dominating_sets,
-    enumerate_quasi_dominating_sets,
-    is_vertex_cover,
-)
+from .solvers import DEFAULT_BUDGET, _search
 
 CSV_SCHEMA = "hsi.estimates.v1"
 _CSV_COLUMNS = ("schema", "name", "estimate", "std_error", "trials",
@@ -85,38 +82,47 @@ def _prop_se(hits: int, n: int) -> tuple[float, float]:
 # -- trial kernels (module level so process pools can pickle them) -----------
 
 
-def _trial_seed(params: ModelParams, t: int) -> ModelParams:
-    return params.with_seed(indexed_seed(params.seed, STREAM_TRIALS, t))
+def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
+    return _edge_ranks(params.with_seed(indexed_seed(params.seed, STREAM_TRIALS, t)))
 
 
 def _trial_solvable(params: ModelParams, extra, t: int):
     budget, = extra
-    g = sample_hypergraph(_trial_seed(params, t))
-    c = enumerate_dominating_sets(g, params.k, witness_cap=0, budget=budget).count
+    masks = _closed_masks(params.n, params.d, _trial_ranks(params, t))
+    c = _search(params.n, masks, params.k, 0, budget, None, quasi=False).count
     return (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
 
 def _trial_pair(params: ModelParams, extra, t: int):
     i, regime = extra
     k = params.k
-    s1 = tuple(range(k))
-    s2 = tuple(range(k - i, 2 * k - i))
-    g = sample_hypergraph(_trial_seed(params, t))
+    s1 = (1 << k) - 1  # vertices 0..k-1
+    s2 = s1 << (k - i)  # vertices k-i..2k-i-1
+    edges = _edge_masks(params.n, params.d, _trial_ranks(params, t))
     if regime == "vertex-cover":
-        y1 = is_vertex_cover(g, s1)
-        y2 = is_vertex_cover(g, s2)
-    else:
-        y1 = is_dominating_set(g, s1)
-        y2 = is_dominating_set(g, s2)
+        y1 = all(m & s1 for m in edges)
+        y2 = all(m & s2 for m in edges)
+    else:  # S dominates iff S and the edges meeting it cover every vertex
+        full = (1 << params.n) - 1
+        y1 = _dominated(edges, s1) == full
+        y2 = _dominated(edges, s2) == full
     return (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
+
+
+def _dominated(edges: list[int], s: int) -> int:
+    out = s
+    for m in edges:
+        if m & s:
+            out |= m
+    return out
 
 
 def _trial_quasi(params: ModelParams, extra, t: int):
     budget, = extra
-    g = sample_hypergraph(_trial_seed(params, t))
-    q = enumerate_quasi_dominating_sets(g, params.k, witness_cap=0, budget=budget).count
-    has_dom = enumerate_dominating_sets(g, params.k, witness_cap=0, budget=budget,
-                                        count_cap=1).count > 0
+    n, k = params.n, params.k
+    masks = _closed_masks(n, params.d, _trial_ranks(params, t))
+    q = _search(n, masks, k, 0, budget, None, quasi=True).count
+    has_dom = _search(n, masks, k, 0, budget, 1, quasi=False).count > 0
     nodom = 0 if has_dom else 1
     return (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 

@@ -7,6 +7,12 @@ bisection on the edge probability, evaluating the expected count in log
 space.  Sampling draws the edge count from Binomial(C(n,d), p) and then picks
 that many distinct edge ranks uniformly, unranking each to a d-subset, which
 reproduces the product measure exactly.
+
+`_edge_ranks(params)` is the one owner of that edge stream.  `sample_hypergraph`
+unranks its ranks into a `Hypergraph`; the Monte-Carlo kernels and the pair
+builder's attempts build bitmasks straight from the same ranks instead
+(`_closed_masks`, `_edge_masks`), so they see the same instance without
+constructing one.
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .hypergraph import Hypergraph
 from .rng import STREAM_EDGES, SplitMix64, derive_seed
 
 _RANK_LIMIT = 1 << 63  # edge ranks are kept within a 64-bit signed range
+_BLOCK_CAP = 512  # most SplitMix64 outputs drawn in one block
 
 
 class CalibrationError(ValueError):
@@ -108,7 +116,10 @@ def asymptotic_p(n: int, d: int) -> float:
 def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> float:
     """Solve E[X](p) = delta by bisection; E[X] is strictly increasing in p.
 
-    Returns p with |E[X](p) - delta| <= tol * delta.
+    Returns p with |E[X](p) - delta| <= tol * delta.  Where no float p gets
+    that close (one float step of p moves E[X] by more, as at d=2, k=1 and
+    n >= 10^5), the bracket closes on two adjacent floats, and of these the
+    one whose E[X] is nearer delta is returned.
     """
     from .moments import expected_count  # cycle: moments needs count_M
 
@@ -131,6 +142,8 @@ def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> flo
         val = expected_count(n, d, k, mid)
         if abs(val - delta) <= tol * delta:
             return mid
+        if mid == lo or mid == hi:  # lo and hi are adjacent floats
+            return min((lo, hi), key=lambda x: abs(expected_count(n, d, k, x) - delta))
         if val < delta:
             lo = mid
         else:
@@ -148,41 +161,81 @@ def _binom_columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 0, -1))
 
 
+def _edge_ranks(params: ModelParams) -> Sequence[int]:
+    """The colex ranks of the edges of G_d(n,p), in no particular order.
+
+    The edge count is Binomial(C(n,d), p); that many distinct ranks are then
+    taken as the first distinct accepted top-bits draws below C(n,d) (past
+    C(n,d)/2, the excluded ranks are drawn instead).  This is the rank set a
+    loop of `randbelow(C(n,d))` calls would give; the draws come in blocks of
+    the same SplitMix64 stream, sized from the ranks still missing, and draws
+    past the last rank needed are thrown away with the generator.
+    """
+    n, d, p = params.n, params.d, params.p
+    total = math.comb(n, d)
+    if total >= _RANK_LIMIT:
+        raise InstanceTooLarge(f"C({n},{d}) = {total} exceeds the edge-rank range")
+    if p == 0.0:
+        return ()
+    if p == 1.0:
+        return range(total)
+    rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
+    count = rng.binomial(total, p)
+    excluded = count > total // 2
+    want = total - count if excluded else count
+    drawn: dict[int, None] = {}  # insertion-ordered, so the first `want` keys are the set
+    bits = (total - 1).bit_length()
+    while len(drawn) < want:
+        missing = want - len(drawn)  # expect (missing << bits) / total draws for them
+        size = min(_BLOCK_CAP, 1 << ((missing << bits) // total).bit_length())
+        drawn.update(dict.fromkeys(filter(total.__gt__, rng._next_block(size, 64 - bits))))
+    ranks = list(drawn)[:want]
+    if excluded:
+        ranks = sorted(set(range(total)).difference(ranks))
+    return ranks
+
+
+def _unranked(n: int, d: int, ranks: Iterable[int]) -> Iterator[list[int]]:
+    """Each rank's d-subset, as colex digits c_d > ... > c_1: rank = sum_j C(c_j, j)."""
+    upper = _binom_columns(n, d)[:-1]
+    for rank in ranks:
+        edge = []
+        for column in upper:
+            c = bisect_right(column, rank) - 1
+            edge.append(c)
+            rank -= column[c]
+        edge.append(rank)  # C(c_1, 1) = c_1
+        yield edge
+
+
+def _closed_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
+    """The closed-neighborhood bitmasks (`Hypergraph.neighborhood_masks`) of
+    the instance whose edges have these ranks."""
+    masks = [1 << v for v in range(n)]
+    for edge in _unranked(n, d, ranks):
+        m = 0
+        for v in edge:
+            m |= 1 << v
+        for v in edge:
+            masks[v] |= m
+    return masks
+
+
+def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
+    """Each edge's vertex bitmask, for edges with these ranks."""
+    out = []
+    for edge in _unranked(n, d, ranks):
+        m = 0
+        for v in edge:
+            m |= 1 << v
+        out.append(m)
+    return out
+
+
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
     """Draw G_d(n,p): every d-subset present independently with probability p.
 
     Deterministic in params.seed; the edge stream is derived from the seed so
     other consumers of the same seed stay decoupled.
     """
-    n, d, p = params.n, params.d, params.p
-    total = math.comb(n, d)
-    if total >= _RANK_LIMIT:
-        raise InstanceTooLarge(f"C({n},{d}) = {total} exceeds the edge-rank range")
-    if p == 0.0 or total == 0:
-        return Hypergraph(n, d, ())
-    if p == 1.0:
-        chosen = range(total)
-    else:
-        rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
-        count = rng.binomial(total, p)
-        ranks: set[int] = set()  # the chosen ranks, or the excluded ones past total / 2
-        if count <= total // 2:
-            while len(ranks) < count:
-                ranks.add(rng.randbelow(total))
-            chosen = ranks
-        else:
-            while len(ranks) < total - count:
-                ranks.add(rng.randbelow(total))
-            chosen = (r for r in range(total) if r not in ranks)
-    # colex unranking: rank = sum_j C(c_j, j) over digits c_d > ... > c_1.
-    # Edges go out in any order and with descending digits; Hypergraph sorts.
-    columns = _binom_columns(n, d)
-    edges = []
-    for rank in chosen:
-        edge = []
-        for column in columns:
-            c = bisect_right(column, rank) - 1
-            edge.append(c)
-            rank -= column[c]
-        edges.append(edge)
-    return Hypergraph(n, d, edges)
+    return Hypergraph(params.n, params.d, _unranked(params.n, params.d, _edge_ranks(params)))

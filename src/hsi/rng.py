@@ -13,6 +13,9 @@ platform-independent as well.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -57,6 +60,24 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
+
+    def _next_block(self, count: int, shift: int) -> tuple[int, ...]:
+        """The next `count` outputs of next_u64, each shifted right by `shift`.
+
+        The state is a counter, so output j mixes state + (j+1)*GOLDEN.  All
+        `count` counters sit in 128-bit lanes of one integer and go through the
+        mixer together; each lane is masked to 64 bits before every multiply,
+        so no carry crosses into the next lane.  The lanes are read back as
+        little-endian words, so the outputs are the same on every platform.
+        """
+        ones, steps, low64, words = _lanes(count)
+        z = (self._state * ones + steps) & low64
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        z = ((z ^ (z >> 30)) & low64) * 0xBF58476D1CE4E5B9 & low64
+        z = ((z ^ (z >> 27)) & low64) * 0x94D049BB133111EB & low64
+        # shifting drops the next lane's bits into this lane's upper word only
+        z = ((z ^ (z >> 31)) & low64) >> shift
+        return words.unpack(z.to_bytes(16 * count, "little"))
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -108,6 +129,17 @@ class SplitMix64:
             pmf *= (n - c + 1) / c * ratio
             cdf += pmf
         return c
+
+
+@lru_cache(maxsize=16)
+def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
+    # per 128-bit lane j: 1, (j+1)*GOLDEN and the 64-bit mask, and a reader
+    # of each lane's lower word
+    ones = int.from_bytes((b"\x01" + b"\x00" * 15) * count, "little")
+    steps = int.from_bytes(b"".join(((j + 1) * _GOLDEN).to_bytes(16, "little")
+                                    for j in range(count)), "little")
+    low64 = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * count, "little")
+    return ones, steps, low64, struct.Struct("<" + "Q8x" * count)
 
 
 def _float_pow(base: float, exp: int) -> float:

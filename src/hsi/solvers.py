@@ -33,6 +33,11 @@ before it stopped, in colex order.
 
 The budget guard is expressed in C(n, k), not seconds, so refusals are
 reproducible; the search visits at most about sum_{j<=k} C(n, j) nodes.
+
+The search is `_search(n, masks, ...)`: it reads only the vertex count and the
+closed-neighborhood bitmasks.  The public functions pass a `Hypergraph`'s
+`neighborhood_masks`; the Monte-Carlo kernels pass masks built straight from
+the sampled edge ranks, without a `Hypergraph`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import sys
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph, as_vertex_set
 
@@ -107,28 +112,30 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(low.bit_length() - 1 for low in _mask_bits(mask))
 
 
-def _covered(masks: tuple[int, ...], chosen: int) -> int:
+def _covered(masks: Sequence[int], chosen: int) -> int:
     out = 0
     for v in _vertices(chosen):
         out |= masks[v]
     return out
 
 
-def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
+def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
             count_cap: Optional[int], quasi: bool) -> SolveReport:
-    if not 1 <= k <= g.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    total = comb(g.n, k)
+    """Count the k-sets that dominate the instance on vertices 0..n-1 whose
+    closed-neighborhood bitmasks are `masks`, or in quasi mode miss exactly one."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(required=total, budget=budget)
     if count_cap is not None and count_cap < 1:
         raise ValueError(f"count_cap must be >= 1, got {count_cap}")
 
     t0 = time.perf_counter()
-    masks = g.neighborhood_masks
+    full = (1 << n) - 1
     sizes = [m.bit_count() for m in masks]
     widest = max(sizes)
-    order = sorted(range(g.n), key=sizes.__getitem__)  # ascending |S_u|, ties by u
+    order = sorted(range(n), key=sizes.__getitem__)  # ascending |S_u|, ties by u
     cap = count_cap if count_cap is not None else total + 1
     count = 0
     examined = 0
@@ -239,7 +246,7 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
     depth = sys.getrecursionlimit()
     sys.setrecursionlimit(max(depth, k + 100))  # a frame per pick, one per miss
     try:
-        visit(0, g.full_mask, k, g.full_mask, 1 if quasi else 0)
+        visit(0, full, k, full, 1 if quasi else 0)
     except _CapReached:
         capped = True
     finally:
@@ -248,7 +255,7 @@ def _search(g: Hypergraph, k: int, witness_cap: int, budget: int,
     found = sorted(-key for key in heap)
     missed = None
     if quasi:
-        missed = tuple((g.full_mask & ~_covered(masks, w)).bit_length() - 1 for w in found)
+        missed = tuple((full & ~_covered(masks, w)).bit_length() - 1 for w in found)
     return SolveReport(
         k=k,
         count=count,
@@ -265,19 +272,20 @@ def enumerate_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                               budget: int = DEFAULT_BUDGET,
                               count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of dominating k-sets (capped search when count_cap given)."""
-    return _search(g, k, witness_cap, budget, count_cap, quasi=False)
+    return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=False)
 
 
 def enumerate_quasi_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                                     budget: int = DEFAULT_BUDGET,
                                     count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of k-sets that dominate all but exactly one vertex."""
-    return _search(g, k, witness_cap, budget, count_cap, quasi=True)
+    return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=True)
 
 
 def has_dominating_set(g: Hypergraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Existence fast path: stops at the first witness."""
-    return _search(g, k, witness_cap=1, budget=budget, count_cap=1, quasi=False).count > 0
+    return _search(g.n, g.neighborhood_masks, k, witness_cap=1, budget=budget, count_cap=1,
+                   quasi=False).count > 0
 
 
 def is_vertex_cover(g: Hypergraph, s: Iterable[int]) -> bool:

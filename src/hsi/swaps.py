@@ -26,9 +26,9 @@ from .hypergraph import (
     domination_status,
     is_dominating_set,
 )
-from .model import ModelParams, sample_hypergraph
+from .model import ModelParams, _closed_masks, _edge_ranks, _unranked
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
-from .solvers import DEFAULT_BUDGET, SolveReport, enumerate_dominating_sets
+from .solvers import DEFAULT_BUDGET, SolveReport, _search, enumerate_dominating_sets
 
 
 class SwapNotFound(RuntimeError):
@@ -297,6 +297,9 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
                        witness_cap: int = 4, budget: int = DEFAULT_BUDGET) -> PairResult:
     """Sample until an instance has a unique dominating k-set, then flip it.
 
+    Each attempt is counted on the bitmasks built from its edge ranks; only
+    the attempt with a unique set is built as a `Hypergraph` and swapped.
+
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
     whether it has *no* dominating k-set at all is verified by enumeration and
@@ -306,12 +309,13 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     swap_failures = 0
     for attempt in range(retry_budget):
         seed = indexed_seed(params.seed, STREAM_ATTEMPTS, attempt)
-        g = sample_hypergraph(params.with_seed(seed))
-        report_yes = enumerate_dominating_sets(
-            g, params.k, witness_cap=witness_cap, budget=budget, count_cap=2)
+        ranks = _edge_ranks(params.with_seed(seed))
+        report_yes = _search(params.n, _closed_masks(params.n, params.d, ranks), params.k,
+                             witness_cap, budget, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
+        g = Hypergraph(params.n, params.d, _unranked(params.n, params.d, ranks))
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region, rng=rng)

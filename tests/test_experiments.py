@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsi.experiments import (
     DegenerateEstimate,
@@ -14,9 +15,26 @@ from hsi.experiments import (
     records_to_csv,
     write_csv,
     _ratio_se,
+    _trial_pair,
+    _trial_quasi,
+    _trial_solvable,
 )
-from hsi.model import ModelParams, calibrate_p
+from hsi.hypergraph import is_dominating_set
+from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.moments import expected_count, quasi_expected, second_moment, solvability_bounds
+from hsi.rng import STREAM_TRIALS, indexed_seed
+from hsi.solvers import (
+    DEFAULT_BUDGET,
+    enumerate_dominating_sets,
+    enumerate_quasi_dominating_sets,
+    is_vertex_cover,
+)
+from oracles import (
+    count_dominating_plain,
+    count_quasi_plain,
+    is_cover_plain,
+    is_dominating_plain,
+)
 
 D2 = ModelParams(n=12, d=2, k=2, p=0.3, seed=99)
 
@@ -176,6 +194,65 @@ class TestRatioTrend:
         ladder = [ModelParams.calibrated(n=n, d=3, delta=0.5, seed=0) for n in (100, 50)]
         with pytest.raises(ValueError):
             ratio_trend(ladder)
+
+
+@st.composite
+def kernel_params(draw):
+    n = draw(st.integers(3, 9))
+    d = draw(st.integers(2, min(n, 4)))
+    k = draw(st.integers(1, min(n - 1, 3)))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return ModelParams(n=n, d=d, k=k, p=p, seed=draw(st.integers(0, 2**32)))
+
+
+class TestKernelsDifferential:
+    """Each trial kernel, which counts on masks built from the edge ranks,
+    against the same trials run through `sample_hypergraph` and the public
+    solvers, and against the plain oracle on each instance's edges."""
+
+    @staticmethod
+    def _instances(params, t0):
+        for t in range(t0, t0 + 8):
+            seed = indexed_seed(params.seed, STREAM_TRIALS, t)
+            yield t, sample_hypergraph(params.with_seed(seed))
+
+    @given(kernel_params(), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_solvable(self, params, t0):
+        k = params.k
+        for t, g in self._instances(params, t0):
+            c = enumerate_dominating_sets(g, k, witness_cap=0).count
+            assert c == count_dominating_plain(g.n, g.edges, k)
+            assert _trial_solvable(params, (DEFAULT_BUDGET,), t) == \
+                (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
+
+    @given(kernel_params(), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_quasi(self, params, t0):
+        k = params.k
+        for t, g in self._instances(params, t0):
+            q = enumerate_quasi_dominating_sets(g, k, witness_cap=0).count
+            nodom = 0 if enumerate_dominating_sets(g, k, witness_cap=0, count_cap=1).count else 1
+            assert q == count_quasi_plain(g.n, g.edges, k)
+            assert nodom == (0 if count_dominating_plain(g.n, g.edges, k) else 1)
+            assert _trial_quasi(params, (DEFAULT_BUDGET,), t) == \
+                (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
+
+    @given(kernel_params(), st.integers(0, 10**6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair(self, params, t0, data):
+        k = params.k
+        i = data.draw(st.integers(max(0, 2 * k - params.n), k))
+        s1, s2 = tuple(range(k)), tuple(range(k - i, 2 * k - i))
+        for t, g in self._instances(params, t0):
+            for regime, library, plain in (
+                    ("vertex-cover", is_vertex_cover, lambda s: is_cover_plain(g.edges, s)),
+                    ("dominating-set", is_dominating_set,
+                     lambda s: is_dominating_plain(g.n, g.edges, s))):
+                y1, y2 = library(g, s1), library(g, s2)
+                assert (y1, y2) == (plain(s1), plain(s2))
+                assert _trial_pair(params, (i, regime), t) == \
+                    (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
 
 
 class TestDeterminismAndWorkers:

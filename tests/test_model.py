@@ -1,11 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hsi.model import (
     InstanceTooLarge,
     ModelParams,
+    _closed_masks,
+    _edge_masks,
+    _edge_ranks,
     asymptotic_p,
     calibrate_p,
     choose_k,
@@ -14,6 +17,7 @@ from hsi.model import (
     sample_hypergraph,
 )
 from hsi.moments import expected_count, quasi_second_moment
+from hsi.rng import STREAM_EDGES, SplitMix64, derive_seed
 
 
 class TestCounts:
@@ -98,6 +102,20 @@ class TestCalibration:
         p = calibrate_p(40, 2, 4, 0.3)
         assert abs(expected_count(40, 2, 4, p) - 0.3) <= 1e-12 * 0.3
 
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_nearest_float_when_tolerance_unreachable(self, n):
+        # at d=2, k=1 one float step of p near 1 moves E[X] = n p^(n-1) by more
+        # than 1e-12 of delta: the nearer of the two adjacent floats comes back
+        def residual(x):
+            return expected_count(n, 2, 1, x) - 0.5
+
+        p = calibrate_p(n, 2, 1, 0.5)
+        below = p if residual(p) < 0 else math.nextafter(p, 0.0)
+        above = math.nextafter(below, 1.0)
+        assert residual(below) < 0 <= residual(above)
+        assert abs(residual(p)) == min(abs(residual(below)), abs(residual(above)))
+        assert abs(residual(p)) > 1e-12 * 0.5
+
 
 class TestModelParams:
     def test_validation(self):
@@ -173,3 +191,51 @@ class TestSampling:
         # E[X] at p=1 is C(n,k) >= 1 > delta, so calibration always brackets
         p = calibrate_p(10, 3, 1, 0.99)
         assert 0 < p < 1
+
+
+def _scalar_ranks(params):
+    """The rank set of a scalar `randbelow` loop over the sampler's stream."""
+    total = math.comb(params.n, params.d)
+    if params.p == 0.0:
+        return set()
+    if params.p == 1.0:
+        return set(range(total))
+    rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
+    count = rng.binomial(total, params.p)
+    excluded = count > total // 2
+    ranks = set()
+    while len(ranks) < (total - count if excluded else count):
+        ranks.add(rng.randbelow(total))
+    return set(range(total)) - ranks if excluded else ranks
+
+
+@st.composite
+def sampler_params(draw):
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(2, min(n, 5)))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return ModelParams(n=n, d=d, k=1, p=p, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestEdgeRanks:
+    """The block-drawn ranks against the scalar loop, and the masks built from
+    them against the `Hypergraph` the sampler builds from the same ranks.
+    C(n,d) = 1 at n = d; C(n,d) = 2 has no solution with 2 <= d <= n."""
+
+    @given(sampler_params())
+    @example(ModelParams(n=3, d=3, k=1, p=0.5, seed=0))  # C(n,d) = 1
+    @example(ModelParams(n=3, d=3, k=1, p=0.5, seed=1))
+    @example(ModelParams(n=3, d=2, k=1, p=0.5, seed=4))  # C(n,d) = 3
+    @example(ModelParams(n=9, d=3, k=1, p=0.0, seed=2))
+    @example(ModelParams(n=9, d=3, k=1, p=1.0, seed=2))
+    @example(ModelParams(n=12, d=2, k=1, p=0.8, seed=3))  # the excluded ranks are drawn
+    @example(ModelParams(n=60, d=3, k=1, p=0.0066, seed=5))  # many blocks
+    @settings(max_examples=300, deadline=None)
+    def test_ranks_and_masks(self, params):
+        ranks = _edge_ranks(params)
+        assert len(ranks) == len(set(ranks))
+        assert set(ranks) == _scalar_ranks(params)
+        g = sample_hypergraph(params)
+        assert len(g.edges) == len(ranks)
+        assert tuple(_closed_masks(params.n, params.d, ranks)) == g.neighborhood_masks
+        assert sorted(_edge_masks(params.n, params.d, ranks)) == sorted(g.edge_masks)

@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hsi.rng import SplitMix64, derive_seed, _float_pow
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 def test_same_seed_same_stream():
@@ -88,3 +92,17 @@ def test_float_pow_matches_pow():
     for base in (0.3, 0.99, 1.0):
         for e in (0, 1, 2, 7, 63):
             assert _float_pow(base, e) == pytest.approx(base**e, rel=1e-15)
+
+
+# states anywhere, and states that wrap past 2^64 within one block
+_STATES = st.one_of(st.integers(0, _MASK64), st.integers(0, 600 * _GOLDEN).map(
+    lambda back: (-back) & _MASK64))
+
+
+@given(_STATES, st.integers(1, 512), st.integers(0, 64))
+def test_block_matches_successive_draws(state, count, shift):
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    assert block._next_block(count, shift) == \
+        tuple(scalar.next_u64() >> shift for _ in range(count))
+    assert block._state == scalar._state == (state + count * _GOLDEN) & _MASK64
+    assert block.next_u64() == scalar.next_u64()
