@@ -83,7 +83,7 @@ def _prop_se(hits: int, n: int) -> tuple[float, float]:
 
 
 def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
-    return _edge_ranks(params.with_seed(indexed_seed(params.seed, STREAM_TRIALS, t)))
+    return _edge_ranks(params, indexed_seed(params.seed, STREAM_TRIALS, t))
 
 
 def _trial_solvable(params: ModelParams, extra, t: int):

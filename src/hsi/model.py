@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import Hypergraph
 from .rng import STREAM_EDGES, SplitMix64, derive_seed
@@ -161,8 +161,12 @@ def _binom_columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 0, -1))
 
 
-def _edge_ranks(params: ModelParams) -> Sequence[int]:
+def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int]:
     """The colex ranks of the edges of G_d(n,p), in no particular order.
+
+    The stream is seeded from `seed`, or from params.seed when it is None, so
+    the trial and attempt loops pass each derived seed without building (and
+    validating) a new ModelParams.
 
     The edge count is Binomial(C(n,d), p); that many distinct ranks are then
     taken as the first distinct accepted top-bits draws below C(n,d) (past
@@ -179,7 +183,7 @@ def _edge_ranks(params: ModelParams) -> Sequence[int]:
         return ()
     if p == 1.0:
         return range(total)
-    rng = SplitMix64(derive_seed(params.seed, STREAM_EDGES))
+    rng = SplitMix64(derive_seed(params.seed if seed is None else seed, STREAM_EDGES))
     count = rng.binomial(total, p)
     excluded = count > total // 2
     want = total - count if excluded else count

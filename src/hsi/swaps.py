@@ -309,7 +309,7 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     swap_failures = 0
     for attempt in range(retry_budget):
         seed = indexed_seed(params.seed, STREAM_ATTEMPTS, attempt)
-        ranks = _edge_ranks(params.with_seed(seed))
+        ranks = _edge_ranks(params, seed)
         report_yes = _search(params.n, _closed_masks(params.n, params.d, ranks), params.k,
                              witness_cap, budget, 2, quasi=False)
         if not report_yes.unique:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsi.hypergraph import Hypergraph, domination_status, is_quasi_dominating
-from hsi.model import ModelParams, sample_hypergraph
+import hsi.solvers as solvers
+from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.rng import SplitMix64
 from hsi.solvers import (
     BudgetExceeded,
+    _pair_table as pair_table,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
     has_dominating_set,
@@ -199,6 +201,68 @@ class TestDifferential:
                 missed = capped.missed_vertices or (None,) * len(capped.witnesses)
                 for w, v in zip(capped.witnesses, missed):
                     assert w in truth and truth[w] == v
+
+
+def pair_pass_cases():
+    """Random instances up to n=70 (several words of vertices), k = 2..5, at
+    densities around and above the calibrated p, so hits are common too."""
+    rng = SplitMix64(41)
+    cases = []
+    for trial in range(36):
+        k = 2 + trial % 4
+        n = 8 + rng.randbelow(63)
+        d = 2 + rng.randbelow(3)
+        p = calibrate_p(n, d, k, 0.5) * (0.5 + 3.0 * rng.random())
+        g = sample_hypergraph(ModelParams(n=n, d=d, k=k, p=min(p, 1.0), seed=trial))
+        if math.comb(n, k) <= 2 * 10**6:  # keeps the fallback runs short
+            cases.append((g, k, rng.randbelow(10)))
+    return cases
+
+
+class TestPairPass:
+    """The pair pass (k >= 3, n <= PAIR_PASS_MAX_N) against the static-order
+    fallback on the same instance, and against the plain oracle when it is cheap."""
+
+    @pytest.mark.parametrize("quasi", [False, True], ids=["plain", "quasi"])
+    def test_matches_fallback(self, monkeypatch, quasi):
+        fn = enumerate_quasi_dominating_sets if quasi else enumerate_dominating_sets
+        oracle = count_quasi_plain if quasi else count_dominating_plain
+        built, limit = [], solvers.PAIR_PASS_MAX_N
+        monkeypatch.setattr(solvers, "_pair_table",
+                            lambda n, masks: built.append(n) or pair_table(n, masks))
+
+        def run(pair_pass, *args, **kw):
+            monkeypatch.setattr(solvers, "PAIR_PASS_MAX_N", limit if pair_pass else 0)
+            before = len(built)
+            rep = fn(*args, budget=10**7, **kw)
+            assert len(built) - before == (pair_pass and args[1] >= 3)
+            return rep
+
+        checked = 0
+        for g, k, witness_cap in pair_pass_cases():
+            fast = run(True, g, k, witness_cap=witness_cap)
+            slow = run(False, g, k, witness_cap=witness_cap)
+            assert (fast.count, fast.witnesses, fast.missed_vertices, fast.unique) == \
+                (slow.count, slow.witnesses, slow.missed_vertices, slow.unique)
+            assert fast.subsets_examined == slow.subsets_examined == math.comb(g.n, k)
+            assert not fast.capped and len(fast.witnesses) == min(fast.count, witness_cap)
+            if math.comb(g.n, k) * g.n * (len(g.edges) + 1) <= 3 * 10**6:
+                assert fast.count == oracle(g.n, g.edges, k)
+                checked += 1
+            for cap in (1, 2, 3):
+                for pair_pass in (True, False):
+                    capped = run(pair_pass, g, k, witness_cap=witness_cap, count_cap=cap)
+                    assert capped.count == min(fast.count, cap)
+                    assert capped.capped == (fast.count >= cap)
+                    assert capped.unique == (fast.count == 1 and cap > 1)
+                    assert len(capped.witnesses) == min(capped.count, witness_cap)
+                    assert list(capped.witnesses) == sorted(set(capped.witnesses),
+                                                            key=colex_key)
+                    missed = capped.missed_vertices or (None,) * len(capped.witnesses)
+                    for w, v in zip(capped.witnesses, missed):
+                        miss = undominated_plain(g.n, g.edges, w)
+                        assert len(w) == k and miss == ([v] if quasi else [])
+        assert checked >= 5
 
 
 class TestMultiword:
