@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import islice
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -107,9 +106,8 @@ class SplitMix64:
 
         The zero-probability (1-p)^n is computed by binary exponentiation
         (plain float multiplies, no libm), and the pmf recurrence uses only
-        +,*,/.  Its factors (n-c)/(c+1) depend only on n, so they are kept
-        per n and reused by later draws.  When (1-p)^n underflows, the draw
-        is split into two independent halves, which is an exact decomposition.
+        +,*,/.  When (1-p)^n underflows, the draw is split into two
+        independent halves, which is an exact decomposition.
         """
         if n < 0:
             raise ValueError("binomial n must be >= 0")
@@ -124,18 +122,12 @@ class SplitMix64:
             return self.binomial(half, p) + self.binomial(n - half, p)
         u = self.random()
         ratio = p / q
-        factors = _binomial_factors(n)
         c = 0
         cdf = pmf
         while u >= cdf and c < n:
-            if c == len(factors):
-                factors.extend((n - j + 1) / j for j in range(c + 1, min(n, 2 * c + 64) + 1))
-            for f in islice(factors, c, None):
-                pmf *= f * ratio
-                cdf += pmf
-                c += 1
-                if u < cdf:
-                    break
+            c += 1
+            pmf *= (n - c + 1) / c * ratio
+            cdf += pmf
         return c
 
 
@@ -148,13 +140,6 @@ def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
                                     for j in range(count)), "little")
     low64 = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * count, "little")
     return ones, steps, low64, struct.Struct("<" + "Q8x" * count)
-
-
-@lru_cache(maxsize=16)
-def _binomial_factors(n: int) -> list[float]:
-    # entry c is (n - c) / (c + 1), the pmf ratio's factor from c to c + 1;
-    # binomial extends the list as its walks reach further
-    return []
 
 
 def _float_pow(base: float, exp: int) -> float:

@@ -66,9 +66,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .hypergraph import Hypergraph, as_vertex_set
 
 DEFAULT_BUDGET = 10**9
-# Largest n for the pair pass.  Its table takes n^3 bits (3.4 MB at n=300,
-# where a k=3 count ran 1.7x faster than the static-order fallback); at
-# n=400 (8 MB) it was faster in one of two timed runs and slower in the other.
+# Largest n for the pair pass.  Its table takes n^3 bits: 3.4 MB at n=300,
+# where a k=3 count ran 1.7x and a k=4 count 2.7x faster than the
+# static-order fallback; at n=400 (8 MB) k=3 was faster in one of two timed
+# runs and slower in the other.  The limit also bounds memory: the default
+# budget admits k=3 up to n=1818, whose table would take 730 MB.
 PAIR_PASS_MAX_N = 300
 
 
