@@ -139,7 +139,7 @@ def _cmd_swap(args) -> int:
             status = domination_status(g, s)
             raise SwapNotFound(
                 f"backward swap needs a quasi-dominating set; {len(status.undominated)} "
-                f"vertices are undominated")
+                f"vertices are undominated", "not-quasi")
         g2, record = backward_swap(g, s, v, region=region, rng=rng)
     write_instance(g2, f"{args.out}_swapped.json")
     with open(f"{args.out}_record.json", "w") as fh:

@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .model import ModelParams, _closed_masks, _edge_masks, _edge_ranks, calibrate_p
+from .hypergraph import _dominated
+from .model import ModelParams, _binom_columns, _closed_masks, _edge_masks, _edge_ranks, calibrate_p
 from .moments import (
     ds_correlation_ratio,
     expected_count,
@@ -109,14 +110,6 @@ def _trial_pair(params: ModelParams, extra, t: int):
     return (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
 
 
-def _dominated(edges: list[int], s: int) -> int:
-    out = s
-    for m in edges:
-        if m & s:
-            out |= m
-    return out
-
-
 def _trial_quasi(params: ModelParams, extra, t: int):
     budget, = extra
     n, k = params.n, params.k
@@ -161,6 +154,7 @@ def _run_trials(kind: str, params: ModelParams, extra, trials: int,
     if w == 1:
         return _sum_range(kind, params, extra, 0, trials)
     step = max(1, -(-trials // (w * 4)))
+    _binom_columns(params.n, params.d)  # the unranking columns, built once before the fork
     ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
     from concurrent.futures import ProcessPoolExecutor  # only pooled calls pay the import
     with ProcessPoolExecutor(max_workers=w) as pool:

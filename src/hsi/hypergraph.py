@@ -2,9 +2,13 @@
 
 Vertices are dense integers 0..n-1.  Edges are stored as strictly ascending
 tuples, sorted lexicographically, with set semantics (duplicates rejected).
-Instances are immutable after construction; the per-vertex closed-neighborhood
-bitmasks are computed once and shared, so all predicates are pure and safe to
-evaluate concurrently.
+Instances are immutable after construction; the edge bitmasks and the
+per-vertex closed-neighborhood bitmasks are computed once and shared, so all
+predicates are pure and safe to evaluate concurrently.  One scatter loop,
+`_closed_bits`, builds the closed masks from any edge list: an instance's own
+edges here, or edges unranked straight from the sampler's ranks in `model`.
+`replace_edges` patches the parent's masks on the vertices of the edges it
+moves instead of rebuilding them.
 
 A vertex counts as dominated by a set S if it belongs to S or shares a
 hyperedge with a member of S.  The equivalent hitting-set view: v is dominated
@@ -14,8 +18,10 @@ by S iff S intersects S_v, the closed neighborhood of v.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 Edge = tuple[int, ...]
 VertexSet = tuple[int, ...]
@@ -34,11 +40,7 @@ class Hypergraph:
         canonical: list[Edge] = []
         seen: set[Edge] = set()
         for raw in edges:
-            e = tuple(sorted(raw))
-            if len(e) != d or len(set(e)) != d:
-                raise ValueError(f"edge {tuple(raw)} does not have {d} distinct vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"edge {e} has vertices outside [0, {n})")
+            e = _canonical_edge(raw, n, d)
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
@@ -46,13 +48,28 @@ class Hypergraph:
         if canonical and d > n:
             raise ValueError(f"arity {d} exceeds vertex count {n} on a non-edgeless graph")
         canonical.sort()
+        self._init(n, d, canonical, seen)
+
+    def _init(self, n: int, d: int, edges: list[Edge], edge_set: set[Edge],
+              nb_masks: Optional[Sequence[int]] = None,
+              edge_masks: Optional[Sequence[int]] = None) -> None:
         self.n = n
         self.d = d
-        self.edges: tuple[Edge, ...] = tuple(canonical)
-        self._edge_set = seen
-        self._nb_masks: Optional[tuple[int, ...]] = None
-        self._edge_masks: Optional[tuple[int, ...]] = None
-        self._incidence: Optional[tuple[tuple[Edge, ...], ...]] = None
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        self._edge_set = edge_set
+        self._nb_masks = None if nb_masks is None else tuple(nb_masks)
+        self._edge_masks = None if edge_masks is None else tuple(edge_masks)
+
+    @classmethod
+    def _trusted(cls, n: int, d: int, edges: list[Edge],
+                 nb_masks: Optional[Sequence[int]] = None) -> "Hypergraph":
+        """An instance on edges already canonical: distinct ascending d-tuples
+        within [0, n), in lexicographic order, as unranking distinct ranks
+        gives them.  Skips validation; `nb_masks` are its closed masks, when
+        the caller has built them."""
+        g = cls.__new__(cls)
+        g._init(n, d, edges, set(edges), nb_masks)
+        return g
 
     # -- derived structure (lazy, cached) ------------------------------------
 
@@ -68,55 +85,58 @@ class Hypergraph:
     def neighborhood_masks(self) -> tuple[int, ...]:
         """Bit i of masks[v] set iff i is in the closed neighborhood of v."""
         if self._nb_masks is None:
-            masks = [1 << v for v in range(self.n)]
-            for e in self.edges:
-                m = 0
-                for v in e:
-                    m |= 1 << v
-                for v in e:
-                    masks[v] |= m
-            self._nb_masks = tuple(masks)
+            self._nb_masks = tuple(_closed_bits(self.n, self.edges))
         return self._nb_masks
 
     @property
     def edge_masks(self) -> tuple[int, ...]:
+        """Each edge's vertex bitmask, in the order of `edges`."""
         if self._edge_masks is None:
-            out = []
-            for e in self.edges:
-                m = 0
-                for v in e:
-                    m |= 1 << v
-                out.append(m)
-            self._edge_masks = tuple(out)
+            self._edge_masks = tuple(_edge_bits(self.n, self.edges))
         return self._edge_masks
-
-    @property
-    def incidence(self) -> tuple[tuple[Edge, ...], ...]:
-        """incidence[v] = edges containing v, in lexicographic order."""
-        if self._incidence is None:
-            by_vertex: list[list[Edge]] = [[] for _ in range(self.n)]
-            for e in self.edges:
-                for v in e:
-                    by_vertex[v].append(e)
-            self._incidence = tuple(tuple(es) for es in by_vertex)
-        return self._incidence
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)
-        return len(self.incidence[u])
+        return sum(m >> u & 1 for m in self.edge_masks)
 
     def replace_edges(self, removed: Iterable[Edge], added: Iterable[Edge]) -> "Hypergraph":
-        """New instance with `removed` deleted and `added` inserted."""
-        edges = set(self.edges)
+        """New instance with `removed` deleted and `added` inserted.
+
+        The edge masks follow the edges; when this instance's closed masks are
+        built, the new instance's are patched from them: only the vertices of
+        the moved edges are recomputed, from the edges that hold them."""
+        edges, masks, edge_set = list(self.edges), list(self.edge_masks), set(self._edge_set)
+        moved = 0
         for e in removed:
-            if e not in edges:
+            if e not in edge_set:
                 raise ValueError(f"cannot remove absent edge {e}")
-            edges.remove(e)
-        for e in added:
-            if e in edges:
+            edge_set.remove(e)
+            i = bisect_left(edges, e)
+            moved |= masks.pop(i)
+            del edges[i]
+        for raw in added:
+            e = _canonical_edge(raw, self.n, self.d)
+            if e in edge_set:
                 raise ValueError(f"cannot add duplicate edge {e}")
-            edges.add(e)
-        return Hypergraph(self.n, self.d, edges)
+            edge_set.add(e)
+            i = bisect_left(edges, e)
+            m = _edge_bits(self.n, (e,))[0]
+            moved |= m
+            edges.insert(i, e)
+            masks.insert(i, m)
+        nb = None
+        if self._nb_masks is not None:
+            bits = _vertex_bits(self.n)
+            nb = list(self._nb_masks)
+            for v in _vertices(moved):
+                nb[v] = bits[v]
+            for m in masks:
+                if m & moved:
+                    for v in _vertices(m & moved):
+                        nb[v] |= m
+        g = Hypergraph.__new__(Hypergraph)
+        g._init(self.n, self.d, edges, edge_set, nb, masks)
+        return g
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:
@@ -132,6 +152,66 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, d={self.d}, m={len(self.edges)})"
+
+
+def _canonical_edge(raw: Iterable[int], n: int, d: int) -> Edge:
+    """`raw` as an ascending tuple, checked to hold d distinct vertices in [0, n)."""
+    e = tuple(sorted(raw))
+    if len(e) != d or len(set(e)) != d:
+        raise ValueError(f"edge {tuple(raw)} does not have {d} distinct vertices")
+    if e[0] < 0 or e[-1] >= n:
+        raise ValueError(f"edge {e} has vertices outside [0, {n})")
+    return e
+
+
+@lru_cache(maxsize=32)
+def _vertex_bits(n: int) -> tuple[int, ...]:
+    return tuple(1 << v for v in range(n))
+
+
+def _edge_bits(n: int, edges: Iterable[Iterable[int]]) -> list[int]:
+    """Each edge's vertex bitmask, in order."""
+    bits = _vertex_bits(n)
+    out = []
+    for e in edges:
+        m = 0
+        for v in e:
+            m |= bits[v]
+        out.append(m)
+    return out
+
+
+def _closed_bits(n: int, edges: Iterable[Iterable[int]]) -> list[int]:
+    """The closed-neighborhood bitmasks of the instance on these edges: bit v,
+    and every edge that holds v, scattered into masks[v]."""
+    bits = _vertex_bits(n)
+    masks = list(bits)
+    for e in edges:
+        m = 0
+        for v in e:
+            m |= bits[v]
+        for v in e:
+            masks[v] |= m
+    return masks
+
+
+def _dominated(edge_masks: Iterable[int], s: int) -> int:
+    """The vertices the set `s` dominates: s and every edge that meets it."""
+    out = s
+    for m in edge_masks:
+        if m & s:
+            out |= m
+    return out
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -155,11 +235,10 @@ def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
 def closed_neighborhood(g: Hypergraph, u: int) -> VertexSet:
     """{u} together with every vertex sharing at least one edge with u."""
     g._check_vertex(u)
-    mask = g.neighborhood_masks[u]
-    return tuple(v for v in range(g.n) if (mask >> v) & 1)
+    return _vertices(g.neighborhood_masks[u])
 
 
-def _set_mask(g: Hypergraph, s: VertexSet) -> int:
+def _set_mask(s: Iterable[int]) -> int:
     m = 0
     for v in s:
         m |= 1 << v
@@ -168,7 +247,7 @@ def _set_mask(g: Hypergraph, s: VertexSet) -> int:
 
 def domination_status(g: Hypergraph, s: Iterable[int]) -> DominationStatus:
     vs = as_vertex_set(s, g.n)
-    s_mask = _set_mask(g, vs)
+    s_mask = _set_mask(vs)
     masks = g.neighborhood_masks
     dominated = tuple(bool(masks[v] & s_mask) for v in range(g.n))
     undominated = tuple(v for v in range(g.n) if not dominated[v])

@@ -6,13 +6,17 @@ big-integer binomial differences.  Calibration solves E[X] = delta by
 bisection on the edge probability, evaluating the expected count in log
 space.  Sampling draws the edge count from Binomial(C(n,d), p) and then picks
 that many distinct edge ranks uniformly, unranking each to a d-subset, which
-reproduces the product measure exactly.
+reproduces the product measure exactly.  Instances whose expected edge count
+C(n,d)*p passes `MAX_EDGES` are refused before anything is drawn.
 
-`_edge_ranks(params)` is the one owner of that edge stream.  `sample_hypergraph`
-unranks its ranks into a `Hypergraph`; the Monte-Carlo kernels and the pair
-builder's attempts build bitmasks straight from the same ranks instead
-(`_closed_masks`, `_edge_masks`), so they see the same instance without
-constructing one.
+`_edge_ranks(params)` is the one owner of that edge stream.  `_unranked` reads
+each rank's colex digits: one bisection per digit above the lowest two, and
+those two in closed form (c_2 from an integer square root, then c_1), so no
+table grows with n.  `sample_hypergraph` sorts the unranked edges into a
+`Hypergraph`; the Monte-Carlo kernels and the pair builder's attempts build
+bitmasks straight from the same edges instead (`_closed_masks`, `_edge_masks`,
+through the scatter loop `Hypergraph` uses), so they see the same instance
+without constructing one.
 """
 
 from __future__ import annotations
@@ -23,11 +27,16 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _closed_bits, _edge_bits
 from .rng import STREAM_EDGES, SplitMix64, derive_seed
 
 _RANK_LIMIT = 1 << 63  # edge ranks are kept within a 64-bit signed range
 _BLOCK_CAP = 512  # most SplitMix64 outputs drawn in one block
+# Largest expected edge count C(n,d)*p that is sampled.  `sample_hypergraph`
+# peaked at 169 bytes per edge (tracemalloc, n=200, d=3, 10^5 edges drawn in
+# 2.4 s), so one instance stays near 170 MB and half a minute of drawing;
+# n=1000, d=3, p=0.9 would ask for 1.5e8 edges, some 25 GB.
+MAX_EDGES = 1_000_000
 
 
 class CalibrationError(ValueError):
@@ -35,7 +44,8 @@ class CalibrationError(ValueError):
 
 
 class InstanceTooLarge(ValueError):
-    """Raised when C(n,d) exceeds the edge-rank type."""
+    """Raised when C(n,d) exceeds the edge-rank type, or C(n,d)*p exceeds
+    `MAX_EDGES`."""
 
 
 @dataclass(frozen=True)
@@ -157,8 +167,8 @@ def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> flo
 
 @lru_cache(maxsize=32)
 def _binom_columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    # columns[i][c] = C(c, d-i) for c in 0..n-1: the colex digits, highest first
-    return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 0, -1))
+    # columns[i][c] = C(c, d-i) for c in 0..n-1: the colex digits c_d .. c_2
+    return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 1, -1))
 
 
 def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int]:
@@ -179,6 +189,9 @@ def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int
     total = math.comb(n, d)
     if total >= _RANK_LIMIT:
         raise InstanceTooLarge(f"C({n},{d}) = {total} exceeds the edge-rank range")
+    if total * p > MAX_EDGES:
+        raise InstanceTooLarge(
+            f"C({n},{d})*p = {total * p:.6g} expected edges exceeds the limit of {MAX_EDGES}")
     if p == 0.0:
         return ()
     if p == 1.0:
@@ -194,46 +207,53 @@ def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int
         size = min(_BLOCK_CAP, 1 << ((missing << bits) // total).bit_length())
         drawn.update(dict.fromkeys(filter(total.__gt__, rng._next_block(size, 64 - bits))))
     ranks = list(drawn)[:want]
-    if excluded:
-        ranks = sorted(set(range(total)).difference(ranks))
+    if excluded:  # the ranks between consecutive excluded ones
+        kept, start = [], 0
+        for stop in sorted(ranks):
+            kept += range(start, stop)
+            start = stop + 1
+        kept += range(start, total)
+        ranks = kept
     return ranks
 
 
 def _unranked(n: int, d: int, ranks: Iterable[int]) -> Iterator[list[int]]:
-    """Each rank's d-subset, as colex digits c_d > ... > c_1: rank = sum_j C(c_j, j)."""
-    upper = _binom_columns(n, d)[:-1]
+    """Each rank's d-subset, as colex digits c_d > ... > c_1: rank = sum_j C(c_j, j).
+
+    The digits above the lowest two are bisected out of their binomial
+    columns.  What is left, r = C(c_2, 2) + c_1 with c_1 < c_2, satisfies
+    (2 c_2 - 1)^2 <= 8 r + 1 < (2 c_2 + 1)^2, so c_2 = (isqrt(8 r + 1) + 1) // 2
+    exactly."""
+    *upper, pairs = _binom_columns(n, d)
     for rank in ranks:
         edge = []
         for column in upper:
             c = bisect_right(column, rank) - 1
             edge.append(c)
             rank -= column[c]
-        edge.append(rank)  # C(c_1, 1) = c_1
+        c2 = math.isqrt(8 * rank + 1) + 1 >> 1
+        edge.append(c2)
+        edge.append(rank - pairs[c2])
         yield edge
 
 
 def _closed_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
     """The closed-neighborhood bitmasks (`Hypergraph.neighborhood_masks`) of
     the instance whose edges have these ranks."""
-    masks = [1 << v for v in range(n)]
-    for edge in _unranked(n, d, ranks):
-        m = 0
-        for v in edge:
-            m |= 1 << v
-        for v in edge:
-            masks[v] |= m
-    return masks
+    return _closed_bits(n, _unranked(n, d, ranks))
 
 
 def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
     """Each edge's vertex bitmask, for edges with these ranks."""
-    out = []
-    for edge in _unranked(n, d, ranks):
-        m = 0
-        for v in edge:
-            m |= 1 << v
-        out.append(m)
-    return out
+    return _edge_bits(n, _unranked(n, d, ranks))
+
+
+def _instance(n: int, d: int, ranks: Iterable[int],
+              nb_masks: Optional[Sequence[int]] = None) -> Hypergraph:
+    """The `Hypergraph` whose edges have these ranks; unranking distinct ranks
+    gives distinct canonical edges, so only their order is left to fix."""
+    edges = sorted(tuple(reversed(e)) for e in _unranked(n, d, ranks))
+    return Hypergraph._trusted(n, d, edges, nb_masks)
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
@@ -242,4 +262,4 @@ def sample_hypergraph(params: ModelParams) -> Hypergraph:
     Deterministic in params.seed; the edge stream is derived from the seed so
     other consumers of the same seed stay decoupled.
     """
-    return Hypergraph(params.n, params.d, _unranked(params.n, params.d, _edge_ranks(params)))
+    return _instance(params.n, params.d, _edge_ranks(params))

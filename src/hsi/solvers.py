@@ -23,8 +23,10 @@ The pair pass settles a two-picks-left node without branching.  Bit y*n + x
 and ANDs in, for each open w in ascending |S_w| order, good[w], the pairs
 with x or y in S_w, until the mask is empty.  Each branch step above keeps
 A's rows of that mask with one XOR, and the hits are read off the set bits in
-increasing position, which is colex order.  The good table takes n^3 bits
-and its ANDs cost n^2 bits each, so the pass runs only for k >= 3 and
+increasing position, which is colex order.  The start mask of all pairs
+inside V and the row marker `rep` depend on n alone, so `_pair_space` builds
+them once per n; the good table is built per search from its masks.  It
+takes n^3 bits and its ANDs cost n^2 bits each, so the pass runs only for k >= 3 and
 n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs over all of V, and the
 static-order pass matched or beat it on plain counts at every n.  That fallback
 branches on the first open u in ascending |S_u| order, sorted once per
@@ -50,8 +52,10 @@ reproducible; the search visits at most about sum_{j<=k} C(n, j) nodes.
 
 The search is `_search(n, masks, ...)`: it reads only the vertex count and the
 closed-neighborhood bitmasks.  The public functions pass a `Hypergraph`'s
-`neighborhood_masks`; the Monte-Carlo kernels pass masks built straight from
-the sampled edge ranks, without a `Hypergraph`.
+`neighborhood_masks`; the Monte-Carlo kernels and the pair builder's attempts
+pass masks built straight from the sampled edge ranks, without a
+`Hypergraph`, and the pair builder's swapped instance passes masks patched
+from the original's.
 """
 
 from __future__ import annotations
@@ -60,10 +64,11 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph, as_vertex_set
+from .hypergraph import Hypergraph, _vertices, as_vertex_set
 
 DEFAULT_BUDGET = 10**9
 # Largest n for the pair pass.  Its table takes n^3 bits: 3.4 MB at n=300,
@@ -128,20 +133,24 @@ def _select(bits: list[int], pick: int) -> int:
     return out
 
 
-def _vertices(mask: int) -> tuple[int, ...]:
-    return tuple(low.bit_length() - 1 for low in _mask_bits(mask))
+@lru_cache(maxsize=8)
+def _pair_space(n: int) -> tuple[int, int]:
+    """rows, the pairs {x < y} of all of V (row y holds bits y*n + x for x < y),
+    and rep, bit y*n set for each row y.  Both depend on n alone."""
+    rows = sum((1 << y) - 1 << y * n for y in range(n))
+    return rows, ((1 << n * n) - 1) // ((1 << n) - 1)
 
 
 def _pair_table(n: int, masks: Sequence[int]) -> tuple[list[int], int]:
     """good[w]: the pairs {x < y}, as bit y*n + x, with x or y in S_w; and
-    rep, bit y*n set for each row y.
+    rep from `_pair_space`.
 
     Row y of `adj` is S_y, and S is symmetric, so bit w of row y is set
     exactly when y is in S_w: spreading that bit over the row gives the pairs
     whose larger member is in S_w, and S_w in every row those whose smaller
     member is."""
     row = (1 << n) - 1
-    rep = ((1 << n * n) - 1) // row
+    rep = _pair_space(n)[1]
     adj = 0
     for m in reversed(masks):
         adj = adj << n | m
@@ -187,7 +196,7 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
     rows = 0  # the pair pass's rows y of the pairs {x < y} inside A
     if pair_pass:
         good, rep = _pair_table(n, masks)
-        rows = sum((1 << y) - 1 << y * n for y in range(n))
+        rows = _pair_space(n)[0]
     count = 0
     examined = 0
     heap: list[int] = []  # negated masks: the colex-largest kept set is on top

@@ -8,41 +8,56 @@ pivot v is dominated only by u through one edge, the partner edge holds only u'
 of S, and afterwards v is undominated.  Backward trades the S-side pair away
 where v is undominated, and S dominates again.
 
+Both directions read the instance through its edge bitmasks.  One pass over
+the edges that meet S gives the forward roles: `once` and `twice` collect the
+vertices in at least one and in at least two of them, so a pivot is a vertex
+of `once & ~twice` outside S whose edge is usable, and every usable edge (it
+avoids the region and holds exactly one member of S) also lists its partners.
+The swapped instance comes from `Hypergraph.replace_edges`, which patches the
+closed masks on the moved vertices when the original has them.
+
 Each direction lists its own candidate roles; one search applies the first
 admissible one.  Candidates come in lexicographic order (optionally shuffled
 by a seeded generator), so a fixed seed reproduces the same SwapRecord.
-Pinned roles are a single candidate whose refusal is raised.
+Pinned roles are a single candidate whose refusal is raised.  Every refusal
+carries a reason code (`SwapNotFound.reason`), and `build_selfref_pair` tallies
+its failed attempts by code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional
 
-from .hypergraph import (
-    Edge,
-    Hypergraph,
-    as_vertex_set,
-    domination_status,
-    is_dominating_set,
-)
-from .model import ModelParams, _closed_masks, _edge_ranks, _unranked
+from .hypergraph import Edge, Hypergraph, _dominated, _set_mask, _vertices, as_vertex_set
+from .model import ModelParams, _closed_masks, _edge_ranks, _instance
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
 from .solvers import DEFAULT_BUDGET, SolveReport, _search, enumerate_dominating_sets
 
 
 class SwapNotFound(RuntimeError):
-    """No admissible pivot/partner assignment exists."""
+    """No admissible pivot/partner assignment exists.
+
+    `reason` says which check refused: "no-pivot" and "no-partner" (forward),
+    "not-quasi", "no-holder", "protected", "no-inner", "no-outer" and
+    "no-role" (backward), "pinned" (pinned roles of either direction)."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class RetriesExhausted(RuntimeError):
-    def __init__(self, attempts: int, non_unique: int, swap_failures: int):
+    def __init__(self, attempts: int, non_unique: int, swap_failures: int,
+                 failure_reasons: Optional[dict[str, int]] = None):
         super().__init__(
             f"no pair built in {attempts} attempts "
             f"({non_unique} without a unique solution, {swap_failures} swap failures)")
         self.attempts = attempts
         self.non_unique = non_unique
         self.swap_failures = swap_failures
+        self.failure_reasons = failure_reasons or {}
 
 
 @dataclass(frozen=True)
@@ -90,40 +105,47 @@ class PairResult:
     attempts: int
     non_unique: int
     swap_failures: int
+    failure_reasons: dict[str, int] = field(default_factory=dict)  # SwapNotFound.reason counts
 
     @property
     def flip_succeeded(self) -> bool:
         return self.report_no.count == 0
 
 
-def _pivots(g: Hypergraph, s, region: ProtectedRegion):
-    """The validated set and its pivots (v, u, e1): v outside S is dominated
-    only by u, through the one edge e1, and e1 avoids the region."""
+def _roles(g: Hypergraph, s, region: ProtectedRegion):
+    """The validated set, its pivots (v, u, e1) and its partners (v', u', e2).
+
+    An edge is usable when it avoids the region and holds exactly one member
+    of S.  v outside S is a pivot when exactly one edge meeting S holds it and
+    that edge, e1, is usable; u is e1's member of S.  Each vertex v' != u' of a
+    usable edge e2 is a partner, u' being e2's member of S.  Both lists are
+    sorted, so pivots come by increasing v."""
     vs = as_vertex_set(s, g.n)
-    if not is_dominating_set(g, vs):
+    s_mask = _set_mask(vs)
+    blocked = _set_mask(region.vertices)
+    once = twice = 0
+    usable = []
+    for e, m in zip(g.edges, g.edge_masks):
+        hit = m & s_mask
+        if hit:
+            twice |= once & m
+            once |= m
+            if not (hit & (hit - 1) or m & blocked):
+                usable.append((e, hit.bit_length() - 1))
+    if once | s_mask != g.full_mask:
         raise ValueError("forward swap needs a dominating set")
-    s_set = set(vs)
-    blocked = set(region.vertices)
-    pivots = []
-    for v in range(g.n):
-        if v in s_set:
-            continue
-        touching = [e for e in g.incidence[v] if any(x in s_set for x in e)]
-        if len(touching) != 1:
-            continue
-        e1 = touching[0]
-        in_s = [x for x in e1 if x in s_set]
-        if len(in_s) == 1 and not any(x in blocked for x in e1):
-            pivots.append((v, in_s[0], e1))
-    return vs, pivots
+    sole = once & ~twice & ~s_mask
+    pivots = sorted((v, u, e) for e, u in usable for v in e if sole >> v & 1)
+    partners = sorted((v, u, e) for e, u in usable for v in e if v != u)
+    return vs, pivots, partners
 
 
 def find_pivot(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
                rng: Optional[SplitMix64] = None) -> tuple[int, int, Edge]:
     """A pivot `forward_swap` may use; lowest v wins unless rng picks uniformly."""
-    _, pivots = _pivots(g, s, region)
+    _, pivots, _ = _roles(g, s, region)
     if not pivots:
-        raise SwapNotFound("no pivot vertex outside the protected region")
+        raise SwapNotFound("no pivot vertex outside the protected region", "no-pivot")
     return pivots[0] if rng is None else pivots[rng.randbelow(len(pivots))]
 
 
@@ -175,9 +197,10 @@ def _refusal(g: Hypergraph, roles: SwapRoles, forward: bool, removed, added,
 
 
 def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, candidates,
-                exhausted: Optional[str]) -> tuple[Hypergraph, SwapRecord]:
-    """Apply the first admissible candidate; raise `exhausted` when none is, or,
-    for pinned roles (`exhausted` None), the candidate's own refusal."""
+                exhausted: Optional[tuple[str, str]]) -> tuple[Hypergraph, SwapRecord]:
+    """Apply the first admissible candidate; raise `exhausted` (message, reason)
+    when none is, or, for pinned roles (`exhausted` None), the candidate's own
+    refusal."""
     forward = direction == "forward"
     s_set = set(vs)
     blocked = set(region.vertices)
@@ -186,15 +209,15 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
         refusal = _refusal(g, roles, forward, removed, added, s_set, blocked)
         if refusal is None:
             g2 = g.replace_edges(removed=removed, added=added)
-            undominated = domination_status(g2, vs).undominated
+            dominated = _dominated(g2.edge_masks, _set_mask(vs))
             # forward leaves the pivot undominated; backward leaves none
-            if (roles.v not in undominated) if forward else undominated:
+            if (dominated >> roles.v & 1) if forward else dominated != g2.full_mask:
                 raise AssertionError(f"{direction} swap did not flip the domination of S")
             return g2, SwapRecord(removed=removed, added=added, roles=roles,
                                   direction=direction, protected=region)
         if exhausted is None:
-            raise SwapNotFound(refusal)
-    raise SwapNotFound(exhausted)
+            raise SwapNotFound(refusal, "pinned")
+    raise SwapNotFound(*exhausted)
 
 
 def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
@@ -204,22 +227,14 @@ def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
 
     Afterwards the pivot v shares no edge with S, so S stops dominating.
     """
-    vs, pivots = _pivots(g, s, region)
+    vs, pivots, partners = _roles(g, s, region)
     if roles is not None:
         e1 = _edge(roles.u, roles.v, roles.z)
         if (roles.v, roles.u, e1) not in pivots:
-            raise SwapNotFound(f"vertex {roles.v} is not a pivot via {e1}")
+            raise SwapNotFound(f"vertex {roles.v} is not a pivot via {e1}", "pinned")
         return _first_swap(g, vs, region, "forward", [roles], None)
     if not pivots:
-        raise SwapNotFound("no pivot vertex outside the protected region")
-    s_set = set(vs)
-    blocked = set(region.vertices)
-    partners = []  # (v', u', e2): e2 avoids the region and holds only u' of S
-    for e2 in g.edges:
-        in_s = [x for x in e2 if x in s_set]
-        if len(in_s) == 1 and not any(x in blocked for x in e2):
-            partners += [(v2, in_s[0], e2) for v2 in e2 if v2 != in_s[0]]
-    partners.sort()
+        raise SwapNotFound("no pivot vertex outside the protected region", "no-pivot")
     if rng is not None:
         rng.shuffle(pivots)
         rng.shuffle(partners)
@@ -234,7 +249,7 @@ def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
                     yield SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=_rest(e2, u2, v2))
 
     return _first_swap(g, vs, region, "forward", candidates(),
-                       "no admissible partner pair for any pivot")
+                       ("no admissible partner pair for any pivot", "no-partner"))
 
 
 def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedRegion(),
@@ -250,22 +265,25 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
     g._check_vertex(v)
     if v in s_set:
         raise ValueError(f"vertex {v} is inside the candidate set")
-    undominated = set(domination_status(g, vs).undominated)
-    if v not in undominated:
+    open_ = g.full_mask & ~_dominated(g.edge_masks, _set_mask(vs))
+    if not open_ >> v & 1:
         raise ValueError(f"vertex {v} is already dominated")
+    undominated = list(_vertices(open_))
     # the swap newly dominates only the vertices of the edge (v, v', w...) it
     # removes, so that edge must hold every undominated vertex
-    holders = [e2 for e2 in g.incidence[v] if undominated.issubset(e2)]
+    holders = [e2 for e2, m in zip(g.edges, g.edge_masks) if m & open_ == open_]
     if len(undominated) > 1 and not holders:
-        raise SwapNotFound(f"no edge of {v} holds all undominated vertices {sorted(undominated)}")
+        raise SwapNotFound(f"no edge of {v} holds all undominated vertices {undominated}",
+                           "no-holder")
     blocked = set(region.vertices)
     if v in blocked:
-        raise SwapNotFound(f"undominated vertex {v} lies in the protected region")
+        raise SwapNotFound(f"undominated vertex {v} lies in the protected region", "protected")
     if roles is not None:
         if roles.v != v:
-            raise SwapNotFound(f"pinned roles move vertex {roles.v}, not the undominated {v}")
-        if not undominated.issubset(_edge(v, roles.v_prime, roles.w)):
-            raise SwapNotFound(f"pinned roles leave some of {sorted(undominated)} undominated")
+            raise SwapNotFound(f"pinned roles move vertex {roles.v}, not the undominated {v}",
+                               "pinned")
+        if not set(undominated).issubset(_edge(v, roles.v_prime, roles.w)):
+            raise SwapNotFound(f"pinned roles leave some of {undominated} undominated", "pinned")
         return _first_swap(g, vs, region, "backward", [roles], None)
 
     inner = sorted(  # (u, u', e1): e1 avoids the region and holds u != u' of S
@@ -278,9 +296,9 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
         rng.shuffle(inner)
         rng.shuffle(outer)
     if not inner:
-        raise SwapNotFound("no edge joins two members of S outside the region")
+        raise SwapNotFound("no edge joins two members of S outside the region", "no-inner")
     if not outer:
-        raise SwapNotFound(f"vertex {v} has no usable edge to a partner vertex")
+        raise SwapNotFound(f"vertex {v} has no usable edge to a partner vertex", "no-outer")
 
     def candidates():
         for u, u2, e1 in inner:
@@ -289,7 +307,7 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
                 yield SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=_rest(e2, v, v2))
 
     return _first_swap(g, vs, region, "backward", candidates(),
-                       "no admissible role assignment for the backward swap")
+                       ("no admissible role assignment for the backward swap", "no-role"))
 
 
 def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedRegion(),
@@ -297,37 +315,42 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
                        witness_cap: int = 4, budget: int = DEFAULT_BUDGET) -> PairResult:
     """Sample until an instance has a unique dominating k-set, then flip it.
 
-    Each attempt is counted on the bitmasks built from its edge ranks; only
-    the attempt with a unique set is built as a `Hypergraph` and swapped.
+    Each attempt is counted on the closed masks built from its edge ranks;
+    only the attempt with a unique set is built as a `Hypergraph`, which keeps
+    those masks, and swapped.  The swapped instance's masks are patched from
+    them, so neither instance rebuilds its masks for its count.  Failed swaps
+    are tallied by `SwapNotFound.reason` in `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
     whether it has *no* dominating k-set at all is verified by enumeration and
     reported, not assumed.
     """
+    n, d = params.n, params.d
     non_unique = 0
-    swap_failures = 0
+    failures: Counter[str] = Counter()
     for attempt in range(retry_budget):
         seed = indexed_seed(params.seed, STREAM_ATTEMPTS, attempt)
         ranks = _edge_ranks(params, seed)
-        report_yes = _search(params.n, _closed_masks(params.n, params.d, ranks), params.k,
-                             witness_cap, budget, 2, quasi=False)
+        masks = _closed_masks(n, d, ranks)
+        report_yes = _search(n, masks, params.k, witness_cap, budget, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
-        g = Hypergraph(params.n, params.d, _unranked(params.n, params.d, ranks))
+        g = _instance(n, d, ranks, masks)
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region, rng=rng)
-        except SwapNotFound:
-            swap_failures += 1
+        except SwapNotFound as exc:
+            failures[exc.reason] += 1
             continue
         report_no = enumerate_dominating_sets(
             g_no, params.k, witness_cap=witness_cap, budget=budget, count_cap=2)
         return PairResult(
             g_yes=g, g_no=g_no, record=record,
             report_yes=report_yes, report_no=report_no,
-            attempts=attempt + 1, non_unique=non_unique, swap_failures=swap_failures,
+            attempts=attempt + 1, non_unique=non_unique, swap_failures=failures.total(),
+            failure_reasons=dict(failures),
         )
     raise RetriesExhausted(attempts=retry_budget, non_unique=non_unique,
-                           swap_failures=swap_failures)
+                           swap_failures=failures.total(), failure_reasons=dict(failures))

@@ -40,6 +40,27 @@ def count_quasi_plain(n, edges, k):
                if len(undominated_plain(n, edges, sub)) == 1)
 
 
+def swap_roles_plain(n, edges, s, blocked):
+    """The forward swap's pivots (v, u, e1) and partners (v', u', e2), from
+    per-vertex incidence lists: v outside s lies in exactly one edge e1 that
+    meets s; e1 and e2 avoid `blocked` and hold exactly one member u, u' of s;
+    v' is any other vertex of e2.  Pivots by increasing v, partners sorted."""
+    sset, bset = set(s), set(blocked)
+    incidence = {v: [e for e in edges if v in e] for v in range(n)}
+    usable = {}
+    for e in edges:
+        in_s = [x for x in e if x in sset]
+        if len(in_s) == 1 and not bset.intersection(e):
+            usable[tuple(e)] = in_s[0]
+    pivots = []
+    for v in range(n):
+        touching = [e for e in incidence[v] if sset.intersection(e)]
+        if v not in sset and len(touching) == 1 and tuple(touching[0]) in usable:
+            pivots.append((v, usable[tuple(touching[0])], tuple(touching[0])))
+    partners = sorted((v, u, e) for e, u in usable.items() for v in e if v != u)
+    return pivots, partners
+
+
 def is_cover_plain(edges, s):
     sset = set(s)
     return all(sset.intersection(e) for e in edges)

@@ -86,6 +86,16 @@ class TestCalibrate:
 
 
 class TestGenAndSolve:
+    def test_gen_refuses_dense_instance(self, tmp_path, capsys):
+        # C(1000, 3) * 0.9 = 1.5e8 expected edges passes MAX_EDGES: a clean
+        # refusal before anything is drawn, and no file
+        path = tmp_path / "g.json"
+        code, out, err = run(capsys, "gen", "--n", "1000", "--d", "3", "--p", "0.9",
+                             "--seed", "1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: C(1000,3)*p") and "limit of 1000000" in err
+        assert not path.exists()
+
     def test_gen_solve_found(self, tmp_path, capsys):
         path = str(tmp_path / "g.json")
         code, _, _ = run(capsys, "gen", "--n", "12", "--d", "3", "--delta", "0.5",

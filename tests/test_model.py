@@ -230,6 +230,8 @@ class TestEdgeRanks:
     @example(ModelParams(n=9, d=3, k=1, p=1.0, seed=2))
     @example(ModelParams(n=12, d=2, k=1, p=0.8, seed=3))  # the excluded ranks are drawn
     @example(ModelParams(n=60, d=3, k=1, p=0.0066, seed=5))  # many blocks
+    @example(ModelParams(n=300, d=3, k=1, p=1e-4, seed=6))  # wide digit columns
+    @example(ModelParams(n=40, d=5, k=1, p=0.001, seed=7))  # three bisected digits
     @settings(max_examples=300, deadline=None)
     def test_ranks_and_masks(self, params):
         ranks = _edge_ranks(params)

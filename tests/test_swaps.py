@@ -1,7 +1,7 @@
 import pytest
 
 from hsi.hypergraph import Hypergraph, domination_status, is_dominating_set
-from hsi.model import ModelParams
+from hsi.model import ModelParams, sample_hypergraph
 from hsi.rng import SplitMix64
 from hsi.solvers import enumerate_dominating_sets
 from hsi.swaps import (
@@ -10,11 +10,14 @@ from hsi.swaps import (
     RetriesExhausted,
     SwapNotFound,
     SwapRoles,
+    _roles,
     backward_swap,
     build_selfref_pair,
     find_pivot,
     forward_swap,
 )
+
+from oracles import swap_roles_plain
 
 STAR = Hypergraph(7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)])
 FIG = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)])
@@ -76,6 +79,27 @@ class TestFindPivot:
         assert picks.issubset({1, 2, 3, 4, 5, 6}) and len(picks) > 1
         assert find_pivot(STAR, (0,), rng=SplitMix64(4)) == \
             find_pivot(STAR, (0,), rng=SplitMix64(4))
+
+
+    def test_roles_against_incidence_lists(self):
+        # the edge-bitmask pass against per-vertex incidence lists, on 200
+        # instances with a unique dominating 3-set, with and without a region
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5)
+        checked = found = 0
+        seed = 0
+        while checked < 200:
+            g = sample_hypergraph(params.with_seed(seed))
+            seed += 1
+            report = enumerate_dominating_sets(g, 3, witness_cap=1, count_cap=2)
+            if not report.unique:
+                continue
+            s = report.witnesses[0]
+            for region in (ProtectedRegion(), ProtectedRegion(tuple(range(5)))):
+                _, pivots, partners = _roles(g, s, region)
+                assert (pivots, partners) == swap_roles_plain(g.n, g.edges, s, region.vertices)
+                found += len(pivots) > 0 and len(partners) > 0
+            checked += 1
+        assert found > 200
 
 
 class TestForwardSwap:
@@ -261,6 +285,20 @@ class TestBuildPair:
         a = build_selfref_pair(params, retry_budget=300)
         b = build_selfref_pair(params, retry_budget=300)
         assert a.g_yes == b.g_yes and a.g_no == b.g_no and a.record == b.record
+
+    def test_failure_reasons_sum_to_swap_failures(self):
+        # a 15-vertex region of 30 fails some swaps before one succeeds; a
+        # 20-vertex one exhausts the retries
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5, seed=0)
+        result = build_selfref_pair(params, region=ProtectedRegion(tuple(range(15))),
+                                    retry_budget=300)
+        assert result.swap_failures > 0
+        assert sum(result.failure_reasons.values()) == result.swap_failures
+        assert set(result.failure_reasons) == {"no-pivot", "no-partner"}
+        with pytest.raises(RetriesExhausted) as err:
+            build_selfref_pair(params, region=ProtectedRegion(tuple(range(20))), retry_budget=300)
+        assert err.value.swap_failures > 0
+        assert sum(err.value.failure_reasons.values()) == err.value.swap_failures
 
     def test_zero_budget(self):
         params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5, seed=1)
