@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .hypergraph import _dominated
-from .model import ModelParams, _binom_columns, _closed_masks, _edge_masks, _edge_ranks, calibrate_p
+from .model import (
+    ModelParams,
+    _binom_columns,
+    _closed_masks,
+    _edge_masks,
+    _edge_ranks,
+    calibrate_p,
+)
 from .moments import (
     ds_correlation_ratio,
     expected_count,

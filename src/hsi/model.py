@@ -13,10 +13,10 @@ C(n,d)*p passes `MAX_EDGES` are refused before anything is drawn.
 each rank's colex digits: one bisection per digit above the lowest two, and
 those two in closed form (c_2 from an integer square root, then c_1), so no
 table grows with n.  `sample_hypergraph` sorts the unranked edges into a
-`Hypergraph`; the Monte-Carlo kernels and the pair builder's attempts build
-bitmasks straight from the same edges instead (`_closed_masks`, `_edge_masks`,
-through the scatter loop `Hypergraph` uses), so they see the same instance
-without constructing one.
+`Hypergraph` (`_instance`); the Monte-Carlo kernels and the pair builder's
+attempts build bitmasks straight from the same edges instead (`_closed_masks`,
+`_edge_masks`, through the scatter loop `Hypergraph` uses), so they see the
+same instance without constructing one.
 """
 
 from __future__ import annotations
@@ -248,12 +248,11 @@ def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
     return _edge_bits(n, _unranked(n, d, ranks))
 
 
-def _instance(n: int, d: int, ranks: Iterable[int],
+def _instance(n: int, d: int, edges: Iterable[list[int]],
               nb_masks: Optional[Sequence[int]] = None) -> Hypergraph:
-    """The `Hypergraph` whose edges have these ranks; unranking distinct ranks
-    gives distinct canonical edges, so only their order is left to fix."""
-    edges = sorted(tuple(reversed(e)) for e in _unranked(n, d, ranks))
-    return Hypergraph._trusted(n, d, edges, nb_masks)
+    """The `Hypergraph` on these `_unranked` edges; unranking distinct ranks
+    gives distinct edges, so only their order is left to fix."""
+    return Hypergraph._trusted(n, d, sorted(tuple(reversed(e)) for e in edges), nb_masks)
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
@@ -262,4 +261,4 @@ def sample_hypergraph(params: ModelParams) -> Hypergraph:
     Deterministic in params.seed; the edge stream is derived from the seed so
     other consumers of the same seed stay decoupled.
     """
-    return _instance(params.n, params.d, _edge_ranks(params))
+    return _instance(params.n, params.d, _unranked(params.n, params.d, _edge_ranks(params)))

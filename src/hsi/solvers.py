@@ -26,9 +26,9 @@ A's rows of that mask with one XOR, and the hits are read off the set bits in
 increasing position, which is colex order.  The start mask of all pairs
 inside V and the row marker `rep` depend on n alone, so `_pair_space` builds
 them once per n; the good table is built per search from its masks.  It
-takes n^3 bits and its ANDs cost n^2 bits each, so the pass runs only for k >= 3 and
-n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs over all of V, and the
-static-order pass matched or beat it on plain counts at every n.  That fallback
+takes n^3 bits and its ANDs cost n^2 bits each, so the pass runs only for
+k >= 3 and n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs over all of V,
+and the static-order pass matched or beat it on plain counts at every n.  That fallback
 branches on the first open u in ascending |S_u| order, sorted once per
 search, and settles the last pick for all of the node's branches in one
 loop.

@@ -30,8 +30,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .hypergraph import Edge, Hypergraph, _dominated, _set_mask, _vertices, as_vertex_set
-from .model import ModelParams, _closed_masks, _edge_ranks, _instance
+from .hypergraph import (
+    Edge,
+    Hypergraph,
+    _closed_bits,
+    _dominated,
+    _set_mask,
+    _vertices,
+    as_vertex_set,
+)
+from .model import ModelParams, _edge_ranks, _instance, _unranked
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
 from .solvers import DEFAULT_BUDGET, SolveReport, _search, enumerate_dominating_sets
 
@@ -122,7 +130,7 @@ def _roles(g: Hypergraph, s, region: ProtectedRegion):
     sorted, so pivots come by increasing v."""
     vs = as_vertex_set(s, g.n)
     s_mask = _set_mask(vs)
-    blocked = _set_mask(region.vertices)
+    blocked = _set_mask(v for v in region.vertices if 0 <= v < g.n)  # no edge holds others
     once = twice = 0
     usable = []
     for e, m in zip(g.edges, g.edge_masks):
@@ -315,11 +323,12 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
                        witness_cap: int = 4, budget: int = DEFAULT_BUDGET) -> PairResult:
     """Sample until an instance has a unique dominating k-set, then flip it.
 
-    Each attempt is counted on the closed masks built from its edge ranks;
-    only the attempt with a unique set is built as a `Hypergraph`, which keeps
-    those masks, and swapped.  The swapped instance's masks are patched from
-    them, so neither instance rebuilds its masks for its count.  Failed swaps
-    are tallied by `SwapNotFound.reason` in `failure_reasons`.
+    Each attempt is counted on the closed masks built from its unranked
+    edges; only the attempt with a unique set is built as a `Hypergraph`,
+    from the same edges and keeping those masks, and swapped.  The swapped
+    instance's masks are patched from them, so neither instance rebuilds its
+    masks for its count.  Failed swaps are tallied by `SwapNotFound.reason`
+    in `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
@@ -331,13 +340,13 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     failures: Counter[str] = Counter()
     for attempt in range(retry_budget):
         seed = indexed_seed(params.seed, STREAM_ATTEMPTS, attempt)
-        ranks = _edge_ranks(params, seed)
-        masks = _closed_masks(n, d, ranks)
+        edges = list(_unranked(n, d, _edge_ranks(params, seed)))
+        masks = _closed_bits(n, edges)
         report_yes = _search(n, masks, params.k, witness_cap, budget, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
-        g = _instance(n, d, ranks, masks)
+        g = _instance(n, d, edges, masks)
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region, rng=rng)

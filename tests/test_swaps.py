@@ -35,6 +35,9 @@ class TestFindPivot:
     def test_protected_region_excludes(self):
         region = ProtectedRegion(vertices=(1, 2))
         assert find_pivot(STAR, (0,), region) == (3, 0, (0, 3, 4))
+        # vertices outside [0, n) are in no edge, so they block nothing
+        region = ProtectedRegion(vertices=(-1, 1, 2, 7, 99))
+        assert find_pivot(STAR, (0,), region) == (3, 0, (0, 3, 4))
 
     def test_region_holding_u_leaves_no_pivot(self):
         # u = 0 lies in every edge, so the region blocks every pivot edge
