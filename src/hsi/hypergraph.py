@@ -120,7 +120,7 @@ class Hypergraph:
                 raise ValueError(f"cannot add duplicate edge {e}")
             edge_set.add(e)
             i = bisect_left(edges, e)
-            m = _edge_bits(self.n, (e,))[0]
+            m = _set_mask(e)
             moved |= m
             edges.insert(i, e)
             masks.insert(i, m)

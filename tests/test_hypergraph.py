@@ -74,6 +74,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             G52.replace_edges(removed=[], added=[(2, 3, 4)])
 
+    @given(hypergraphs(), st.data())
+    def test_replace_edges_patches_masks(self, g, data):
+        # the patched closed masks and the kept edge masks against a fresh build
+        pot = list(itertools.combinations(range(g.n), g.d))
+        removed = data.draw(st.lists(st.sampled_from(g.edges), unique=True, max_size=2)
+                            if g.edges else st.just([]))
+        absent = [e for e in pot if e not in g.edge_set]
+        added = data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=2)
+                          if absent else st.just([]))
+        g.neighborhood_masks
+        g2 = g.replace_edges(removed=removed, added=added)
+        fresh = Hypergraph(g.n, g.d, g2.edges)
+        assert g2.edges == tuple(sorted(set(g.edges) - set(removed) | set(added)))
+        assert g2.neighborhood_masks == fresh.neighborhood_masks
+        assert g2.edge_masks == fresh.edge_masks
+
 
 class TestNeighborhoods:
     def test_closed_neighborhood_examples(self):
