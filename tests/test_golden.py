@@ -44,18 +44,36 @@ def test_sampled_instances():
     assert _sha(lines) == "7c62b7e4b6c9f337886e6e3bd422862dde8f317c404562dc77fabc6f20e465a0"
 
 
-def test_full_counts():
-    lines = []
+def _count_instances():
+    """(n, d, seed, k, instance) for the exact-count digests."""
     for n, d, p, k in [(12, 2, 0.3, 3), (20, 3, 0.05, 3), (12, 4, 0.02, 2),
                        (60, 3, SAMPLE_CASES[2][2], 4)]:
         for seed in SEEDS if n < 60 else range(4):
-            g = _instance(n, d, p, seed, k)
-            for fn in (enumerate_dominating_sets, enumerate_quasi_dominating_sets):
-                rep = fn(g, k, witness_cap=5)
-                assert rep.subsets_examined == math.comb(n, k)
-                lines.append(repr((n, d, seed, k, rep.count, rep.witnesses,
-                                   rep.subsets_examined, rep.missed_vertices)))
+            yield n, d, seed, k, _instance(n, d, p, seed, k)
+
+
+def test_full_counts():
+    lines = []
+    for n, d, seed, k, g in _count_instances():
+        for fn in (enumerate_dominating_sets, enumerate_quasi_dominating_sets):
+            rep = fn(g, k, witness_cap=5)
+            assert rep.subsets_examined == math.comb(n, k)
+            lines.append(repr((n, d, seed, k, rep.count, rep.witnesses,
+                               rep.subsets_examined, rep.missed_vertices)))
     assert _sha(lines) == "ab6f40e11aef4d699969c7e6075d0f59011877d481c49d0ccbe9c5b4956ea9cf"
+
+
+def test_capped_counts():
+    # a capped search keeps the sets it found before the cap, so its witnesses
+    # and `subsets_examined` pin the search order, not just the count
+    lines = []
+    for n, d, seed, k, g in _count_instances():
+        for fn in (enumerate_dominating_sets, enumerate_quasi_dominating_sets):
+            for cap in (1, 2, 3):
+                rep = fn(g, k, witness_cap=5, count_cap=cap)
+                lines.append(repr((n, d, seed, k, cap, rep.count, rep.witnesses,
+                                   rep.subsets_examined, rep.capped, rep.missed_vertices)))
+    assert _sha(lines) == "4ae50dd9e91574fce9a2f1081c375d164b13bcfd1365fc85a0302c611defd16c"
 
 
 def test_pair_files(tmp_path, capsys):
