@@ -11,27 +11,29 @@ k-sets that avoid S_u, split the node's C(|A|, left) k-sets into disjoint
 blocks, so every k-set is settled exactly once:
 
 * when nothing is left to dominate, all C(|A|, left) completions count;
-* with two picks left, which is most nodes, the pairs are settled together
-  (below);
+* with two picks left, the pairs are settled together (below);
 * with one pick left, the hits are the allowed vertices in every open S_u;
 * with as many picks left as allowed vertices, the one completion is tested;
 * a block is pruned when its picks cannot dominate what is left
   (left * max|S_v| < undominated), or when it avoids an S_u.
 
-The pair pass settles a two-picks-left node without branching.  Bit y*n + x
-(x < y) stands for the pair {x, y}; the node starts from the pairs inside A
-and ANDs in, for each open w in ascending |S_w| order, good[w], the pairs
-with x or y in S_w, until the mask is empty.  Each branch step above keeps
-A's rows of that mask with one XOR, and the hits are read off the set bits in
-increasing position, which is colex order.  The start mask of all pairs
-inside V and the row marker `rep` depend on n alone, so `_pair_space` builds
-them once per n; the good table is built per search from its masks.  It
-takes n^3 bits and its ANDs cost n^2 bits each, so the pass runs only for
-k >= 3 and n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs over all of V,
-and the static-order pass matched or beat it on plain counts at every n.  That fallback
-branches on the first open u in ascending |S_u| order, sorted once per
-search, and settles the last pick for all of the node's branches in one
-loop.
+The pair pass settles the last two picks without branching, and without a
+node: a node with three picks left hands each branch straight to `pairs`.
+Bit y*n + x (x < y) stands for the pair {x, y}.  The search keeps `rows`,
+exactly the pairs inside A: when x leaves A, `rows &= keep[x]` drops the
+pairs that hold x.  `pairs` starts from `rows` and ANDs in, for each open w
+in ascending |S_w| order, good[w], the pairs with x or y in S_w, until the
+mask is empty; it walks a chain of (bit of w, good[w]) in that order, built
+once per search.  The hits are read off the set bits in increasing position,
+which is colex order.  The mask of all pairs inside V, the row marker `rep`
+and the keep masks depend on n alone, so `_pair_space` builds them once per
+n; the good table is built per search from its masks.  The table and the
+keep masks take n^3 bits each and the ANDs cost n^2 bits each, so the pass
+runs only for k >= 3 and n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs
+over all of V, and the static-order pass matched or beat it on plain counts
+at every n.  That fallback branches on the first open u in ascending |S_u|
+order, sorted once per search, and settles the last pick for all of the
+node's branches in one loop.
 
 Quasi mode (exactly one undominated vertex) adds one branch while no vertex
 has been missed: "u is the missed vertex", which removes all of S_u from A.
@@ -75,7 +77,9 @@ DEFAULT_BUDGET = 10**9
 # where a k=3 count ran 1.7x and a k=4 count 2.7x faster than the
 # static-order fallback; at n=400 (8 MB) k=3 was faster in one of two timed
 # runs and slower in the other.  The limit also bounds memory: the default
-# budget admits k=3 up to n=1818, whose table would take 730 MB.
+# budget admits k=3 up to n=1818, whose table would take 730 MB.  The keep
+# masks `_pair_space` caches per n take n^3 bits more: 27 KB at n=60, 3.4 MB
+# at n=300.
 PAIR_PASS_MAX_N = 300
 
 
@@ -133,17 +137,22 @@ def _select(bits: list[int], pick: int) -> int:
     return out
 
 
-@lru_cache(maxsize=8)
-def _pair_space(n: int) -> tuple[int, int]:
-    """rows, the pairs {x < y} of all of V (row y holds bits y*n + x for x < y),
-    and rep, bit y*n set for each row y.  Both depend on n alone."""
+# At most 4 values of n at once: each entry holds n^3 + 2 n^2 bits, 3.4 MB
+# at n = PAIR_PASS_MAX_N, so the cache stays under 14 MB.
+@lru_cache(maxsize=4)
+def _pair_space(n: int) -> tuple[int, int, tuple[int, ...]]:
+    """rows, the pairs {x < y} of all of V (row y holds bits y*n + x for x < y);
+    rep, bit y*n set for each row y; and keep[x], rows less the pairs that
+    hold x (row x and column x).  All depend on n alone."""
     rows = sum((1 << y) - 1 << y * n for y in range(n))
-    return rows, ((1 << n * n) - 1) // ((1 << n) - 1)
+    rep = ((1 << n * n) - 1) // ((1 << n) - 1)
+    keep = tuple(rows ^ ((1 << x) - 1 << x * n) ^ (rep >> (x + 1) * n << (x + 1) * n + x)
+                 for x in range(n))
+    return rows, rep, keep
 
 
-def _pair_table(n: int, masks: Sequence[int]) -> tuple[list[int], int]:
-    """good[w]: the pairs {x < y}, as bit y*n + x, with x or y in S_w; and
-    rep from `_pair_space`.
+def _pair_table(n: int, masks: Sequence[int]) -> list[int]:
+    """good[w]: the pairs {x < y}, as bit y*n + x, with x or y in S_w.
 
     Row y of `adj` is S_y, and S is symmetric, so bit w of row y is set
     exactly when y is in S_w: spreading that bit over the row gives the pairs
@@ -154,7 +163,7 @@ def _pair_table(n: int, masks: Sequence[int]) -> tuple[list[int], int]:
     adj = 0
     for m in reversed(masks):
         adj = adj << n | m
-    return [((adj >> w) & rep) * row | masks[w] * rep for w in range(n)], rep
+    return [((adj >> w) & rep) * row | masks[w] * rep for w in range(n)]
 
 
 def _pair_bits(pairs: int, n: int) -> Iterator[int]:
@@ -193,10 +202,11 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
     order = sorted(range(n), key=sizes.__getitem__)  # ascending |S_u|, ties by u
     cap = count_cap if count_cap is not None else total + 1
     pair_pass = k >= 3 and n <= PAIR_PASS_MAX_N
-    rows = 0  # the pair pass's rows y of the pairs {x < y} inside A
+    rows = 0  # the pair pass's pairs {x < y} inside A
     if pair_pass:
-        good, rep = _pair_table(n, masks)
-        rows = _pair_space(n)[0]
+        good = _pair_table(n, masks)
+        chain = [(1 << w, good[w]) for w in order]
+        rows, _, keep = _pair_space(n)
     count = 0
     examined = 0
     heap: list[int] = []  # negated masks: the colex-largest kept set is on top
@@ -248,25 +258,24 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
         """Settle the k-sets chosen | {x, y}, {x, y} a pair inside `allowed`,
         by AND-ing the pair-space masks of the open vertices.
 
-        `rows` holds, in row y for each allowed y, the pairs {x < y}; in quasi
-        mode `found` collects the pairs that miss exactly one open vertex."""
+        `rows` holds the pairs inside `allowed`; in quasi mode `found`
+        collects the pairs that miss exactly one open vertex."""
         nonlocal examined
         examined += comb(allowed.bit_count(), 2)
-        every = rows & allowed * rep
+        every = rows
         if spare:
             found = 0
-            for w in order:
-                if open_ >> w & 1:
-                    g = good[w]
+            for bit, g in chain:
+                if open_ & bit:
                     kept = every & g
                     found = found & g | every ^ kept
                     every = kept
                     if not (every or found):
                         return
         else:
-            for w in order:
-                if open_ >> w & 1:
-                    every &= good[w]
+            for bit, g in chain:
+                if open_ & bit:
+                    every &= g
                     if not every:
                         return
             found = every
@@ -279,7 +288,8 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
 
         `open_` holds the vertices chosen leaves undominated, less the missed
         one in quasi mode; `spare` is 1 while a quasi set may still miss one.
-        `rows` is the pair pass's mask of the pairs inside `allowed`."""
+        `rows` is the pair pass's mask of the pairs inside `allowed`; with
+        the pair pass, left is never 2: three picks left calls `pairs`."""
         nonlocal examined
         if left == 1:
             last_picks(chosen, allowed, open_, spare, 0)
@@ -300,9 +310,6 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
                 hits(1, iter((allowed,)), chosen)
             return
 
-        if left == 2 and pair_pass:
-            pairs(chosen, allowed, rows, open_, spare)
-            return
         if left == 2:  # most nodes: a static order costs less than the scan
             for best in order:
                 if open_ >> best & 1:
@@ -324,14 +331,18 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
                     if c == 0:
                         break
             branch = masks[best] & allowed
+            settle = left == 3 and pair_pass
             while branch:
                 low = branch & -branch
                 branch ^= low
                 x = low.bit_length() - 1
                 allowed ^= low  # x leaves A together with the members below it
                 if pair_pass:
-                    rows ^= (low - 1) << x * n
-                visit(chosen | low, allowed, rows, left - 1, open_ & ~masks[x], spare)
+                    rows &= keep[x]
+                if settle:
+                    pairs(chosen | low, allowed, rows, open_ & ~masks[x], spare)
+                else:
+                    visit(chosen | low, allowed, rows, left - 1, open_ & ~masks[x], spare)
         # allowed now avoids S_best, so best stays undominated in what is left
         if spare:
             visit(chosen, allowed, rows, left, open_ ^ (1 << best), 0)
