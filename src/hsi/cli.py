@@ -186,6 +186,8 @@ def _experiment_params(args, n: int) -> ModelParams:
 def _cmd_experiment(args) -> int:
     ns = _int_list(args.n)
     workers = args.workers
+    if workers is not None and workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     if args.kind == "trend":
         records = ratio_trend([_experiment_params(args, n) for n in ns])
     else:

@@ -194,6 +194,8 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
         raise BudgetExceeded(required=total, budget=budget)
     if count_cap is not None and count_cap < 1:
         raise ValueError(f"count_cap must be >= 1, got {count_cap}")
+    if witness_cap < 0:
+        raise ValueError(f"witness_cap must be >= 0, got {witness_cap}")
 
     t0 = time.perf_counter()
     full = (1 << n) - 1

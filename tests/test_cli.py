@@ -127,6 +127,13 @@ class TestGenAndSolve:
         assert code == 4
         assert json.loads(out)["error"] == "budget-exceeded"
 
+    def test_solve_negative_witnesses_exit_1(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        write_instance(Hypergraph(4, 3, [(0, 1, 2)]), path)
+        code, out, err = run(capsys, "solve", "--in", path, "--k", "2", "--witnesses", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: witness_cap must be >= 0")
+
     def test_solve_quasi(self, tmp_path, capsys):
         path = str(tmp_path / "q.json")
         write_instance(Hypergraph(4, 3, [(0, 1, 2)]), path)
@@ -290,6 +297,14 @@ class TestExperimentCli:
         code, out, _ = run(capsys, "experiment", "--kind", "trend", "--n", "50",
                            "--d", "3", "--delta", "0.5", "--seed", "0")
         assert code == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, capsys, workers):
+        code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
+                             "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
+                             "--seed", "5", "--workers", workers)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --workers must be >= 1")
 
     def test_degenerate_estimate_exit_1(self, capsys):
         code, _, err = run(capsys, "experiment", "--kind", "quasi", "--n", "6",
