@@ -205,7 +205,7 @@ def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int
     while len(drawn) < want:
         missing = want - len(drawn)  # expect (missing << bits) / total draws for them
         size = min(_BLOCK_CAP, 1 << ((missing << bits) // total).bit_length())
-        drawn.update(dict.fromkeys(filter(total.__gt__, rng._next_block(size, 64 - bits))))
+        drawn.update(dict.fromkeys([r for r in rng._next_block(size, 64 - bits) if r < total]))
     ranks = list(drawn)[:want]
     if excluded:  # the ranks between consecutive excluded ones
         kept, start = [], 0
