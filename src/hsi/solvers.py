@@ -202,6 +202,7 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
     sizes = [m.bit_count() for m in masks]
     widest = max(sizes)
     order = sorted(range(n), key=sizes.__getitem__)  # ascending |S_u|, ties by u
+    by_vertex = [(1 << u, m, u) for u, m in enumerate(masks)]
     cap = count_cap if count_cap is not None else total + 1
     pair_pass = k >= 3 and n <= PAIR_PASS_MAX_N
     rows = 0  # the pair pass's pairs {x < y} inside A
@@ -322,16 +323,13 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
             allowed ^= branch
         else:
             best, fewest = -1, size + 1
-            rest = open_
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                u = low.bit_length() - 1
-                c = (masks[u] & allowed).bit_count()
-                if c < fewest:
-                    best, fewest = u, c
-                    if c == 0:
-                        break
+            for bit, m, u in by_vertex:  # ascending u: ties go to the lowest
+                if open_ & bit:
+                    c = (m & allowed).bit_count()
+                    if c < fewest:
+                        best, fewest = u, c
+                        if c == 0:
+                            break
             branch = masks[best] & allowed
             settle = left == 3 and pair_pass
             while branch:
