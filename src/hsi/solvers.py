@@ -6,9 +6,9 @@ chosen set I, a set A of vertices still allowed to join it and the vertices
 not yet dominated.  At each node it takes an undominated vertex u and
 branches on x, the lowest member of the k-set inside S_u: I gains x and the
 members of S_u below x leave A.  Nodes with three or more picks left take
-the u whose S_u has the fewest allowed members.  These branches, plus the
-k-sets that avoid S_u, split the node's C(|A|, left) k-sets into disjoint
-blocks, so every k-set is settled exactly once:
+the lowest u whose S_u has the fewest allowed members.  These branches, plus
+the k-sets that avoid S_u, split the node's C(|A|, left) k-sets into
+disjoint blocks, so every k-set is settled exactly once:
 
 * when nothing is left to dominate, all C(|A|, left) completions count;
 * with two picks left, the pairs are settled together (below);
