@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 import hsi.cli as cli
+import hsi.solvers as solvers
 from hsi.hypergraph import Hypergraph, is_quasi_dominating, write_instance
 from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.rng import STREAM_SWAP, SplitMix64, derive_seed
@@ -74,6 +75,22 @@ def test_capped_counts():
                 lines.append(repr((n, d, seed, k, cap, rep.count, rep.witnesses,
                                    rep.subsets_examined, rep.capped, rep.missed_vertices)))
     assert _sha(lines) == "4ae50dd9e91574fce9a2f1081c375d164b13bcfd1365fc85a0302c611defd16c"
+
+
+def test_fallback_capped_counts(monkeypatch):
+    # with the pair pass off, k >= 3 counts run on the static-order fallback,
+    # whose search order the capped witnesses pin
+    monkeypatch.setattr(solvers, "PAIR_PASS_MAX_N", 0)
+    lines = []
+    for n, d, seed, k, g in _count_instances():
+        if k < 3:
+            continue
+        for fn in (enumerate_dominating_sets, enumerate_quasi_dominating_sets):
+            for cap in (1, 2, 3):
+                rep = fn(g, k, witness_cap=5, count_cap=cap)
+                lines.append(repr((n, d, seed, k, cap, rep.count, rep.witnesses,
+                                   rep.subsets_examined, rep.capped, rep.missed_vertices)))
+    assert _sha(lines) == "76f05e691d0822cfa176bea28b2082e1e390c2ab97825a1142ef438feb2a36a6"
 
 
 def test_pair_files(tmp_path, capsys):
