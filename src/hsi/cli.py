@@ -64,14 +64,19 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+def _params(args, n: int) -> ModelParams:
+    """k defaults to choose_k(n); p is --p, or calibrated to --delta (0.5 if unset)."""
+    k = args.k if args.k is not None else choose_k(n)
+    delta = args.delta if args.delta is not None else 0.5
+    if args.p is not None:
+        return ModelParams(n=n, d=args.d, k=k, p=args.p, delta=delta, seed=args.seed)
+    return ModelParams.calibrated(n=n, d=args.d, k=k, delta=delta, seed=args.seed)
+
+
 def _cmd_gen(args) -> int:
-    k = args.k if args.k is not None else choose_k(args.n)
-    p = args.p if args.p is not None else calibrate_p(args.n, args.d, k, args.delta)
-    params = ModelParams(n=args.n, d=args.d, k=k, p=p,
-                         delta=args.delta if args.delta is not None else 0.5,
-                         seed=args.seed)
+    params = _params(args, args.n)
     g = sample_hypergraph(params)
-    write_instance(g, args.out, p=p, seed=args.seed)
+    write_instance(g, args.out, p=params.p, seed=args.seed)
     print(f"wrote {args.out}: n={g.n} d={g.d} edges={len(g.edges)}")
     return 0
 
@@ -111,19 +116,8 @@ def _cmd_solve(args) -> int:
         print(json.dumps({"error": "budget-exceeded", "required": exc.required,
                           "budget": exc.budget}))
         return 4
-    payload = dataclasses.asdict(report)
-    payload["witnesses"] = [list(wit) for wit in report.witnesses]
-    if report.missed_vertices is not None:
-        payload["missed_vertices"] = list(report.missed_vertices)
-    print(json.dumps(payload))
+    print(json.dumps(dataclasses.asdict(report)))
     return 0 if report.count > 0 else 2
-
-
-def _record_payload(record) -> dict:
-    payload = dataclasses.asdict(record)
-    payload["protected"] = {"vertices": list(record.protected.vertices),
-                            "exponent_c": record.protected.exponent_c}
-    return payload
 
 
 def _cmd_swap(args) -> int:
@@ -143,7 +137,7 @@ def _cmd_swap(args) -> int:
         g2, record = backward_swap(g, s, v, region=region, rng=rng)
     write_instance(g2, f"{args.out}_swapped.json")
     with open(f"{args.out}_record.json", "w") as fh:
-        json.dump(_record_payload(record), fh)
+        json.dump(dataclasses.asdict(record), fh)
     print(f"wrote {args.out}_swapped.json and {args.out}_record.json")
     return 0
 
@@ -162,7 +156,7 @@ def _cmd_pair(args) -> int:
     write_instance(result.g_no, f"{prefix}_no.json", p=params.p, seed=params.seed)
     with open(f"{prefix}_record.json", "w") as fh:
         json.dump({
-            "swap": _record_payload(result.record),
+            "swap": dataclasses.asdict(result.record),
             "attempts": result.attempts,
             "yes_count": result.report_yes.count,
             "no_count": result.report_no.count,
@@ -173,27 +167,17 @@ def _cmd_pair(args) -> int:
     return 0
 
 
-def _experiment_params(args, n: int) -> ModelParams:
-    k = args.k if args.k is not None else choose_k(n)
-    if args.p is not None:
-        return ModelParams(n=n, d=args.d, k=k, p=args.p,
-                           delta=args.delta if args.delta is not None else 0.5,
-                           seed=args.seed)
-    delta = args.delta if args.delta is not None else 0.5
-    return ModelParams.calibrated(n=n, d=args.d, k=k, delta=delta, seed=args.seed)
-
-
 def _cmd_experiment(args) -> int:
     ns = _int_list(args.n)
     workers = args.workers
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
     if args.kind == "trend":
-        records = ratio_trend([_experiment_params(args, n) for n in ns])
+        records = ratio_trend([_params(args, n) for n in ns])
     else:
         if len(ns) != 1:
             raise ValueError(f"--kind {args.kind} takes a single n")
-        params = _experiment_params(args, ns[0])
+        params = _params(args, ns[0])
         if args.kind == "ex":
             records = [mc_expected_count(params, args.trials, workers=workers)]
         elif args.kind == "solvable":

@@ -95,9 +95,8 @@ def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
 
 
 def _trial_solvable(params: ModelParams, extra, t: int):
-    budget, = extra
     masks = _closed_masks(params.n, params.d, _trial_ranks(params, t))
-    c = _search(params.n, masks, params.k, 0, budget, None, quasi=False).count
+    c = _search(params.n, masks, params.k, 0, DEFAULT_BUDGET, None, quasi=False).count
     return (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
 
@@ -118,11 +117,10 @@ def _trial_pair(params: ModelParams, extra, t: int):
 
 
 def _trial_quasi(params: ModelParams, extra, t: int):
-    budget, = extra
     n, k = params.n, params.k
     masks = _closed_masks(n, params.d, _trial_ranks(params, t))
-    q = _search(n, masks, k, 0, budget, None, quasi=True).count
-    has_dom = _search(n, masks, k, 0, budget, 1, quasi=False).count > 0
+    q = _search(n, masks, k, 0, DEFAULT_BUDGET, None, quasi=True).count
+    has_dom = _search(n, masks, k, 0, DEFAULT_BUDGET, 1, quasi=False).count > 0
     nodom = 0 if has_dom else 1
     return (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 
@@ -148,9 +146,13 @@ def _sum_range(kind: str, params: ModelParams, extra, lo: int, hi: int):
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
+    source = "workers"
     if workers is None:
+        source = "HSI_THREADS"
         workers = int(os.environ.get("HSI_THREADS", "1") or "1")
-    return max(1, workers)
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _run_trials(kind: str, params: ModelParams, extra, trials: int,
@@ -177,13 +179,13 @@ def _run_trials(kind: str, params: ModelParams, extra, trials: int,
 # -- experiments --------------------------------------------------------------
 
 
-def mc_expected_count(params: ModelParams, trials: int, workers: Optional[int] = None,
-                      budget: int = DEFAULT_BUDGET) -> EstimateRecord:
+def mc_expected_count(params: ModelParams, trials: int,
+                      workers: Optional[int] = None) -> EstimateRecord:
     """Mean exact dominating-set count vs the first-moment formula.
 
     Enforced at d=2 where the formula is exact; report-only for d>=3.
     """
-    s1, s2, _, _ = _run_trials("solvable", params, (budget,), trials, workers)
+    s1, s2, _, _ = _run_trials("solvable", params, (), trials, workers)
     mean, se = _mean_se(s1, s2, trials)
     formula = expected_count(params.n, params.d, params.k, params.p)
     return EstimateRecord(
@@ -195,15 +197,14 @@ def mc_expected_count(params: ModelParams, trials: int, workers: Optional[int] =
 
 
 def mc_solvable_and_unique(params: ModelParams, trials: int,
-                           workers: Optional[int] = None,
-                           budget: int = DEFAULT_BUDGET) -> tuple[EstimateRecord, EstimateRecord]:
+                           workers: Optional[int] = None) -> tuple[EstimateRecord, EstimateRecord]:
     """Empirical Pr(X>0) and Pr(X=1) with the analytic bands attached.
 
     The only hard gate is Markov consistency: Pr(X>0) <= E[X] + 3 SE on the
     same sample.  The second-moment band and the uniqueness bound hold only
     asymptotically, so they ride along as report-only context.
     """
-    s1, s2, n_exist, n_unique = _run_trials("solvable", params, (budget,), trials, workers)
+    s1, s2, n_exist, n_unique = _run_trials("solvable", params, (), trials, workers)
     mean_count, se_count = _mean_se(s1, s2, trials)
     p_exist, se_exist = _prop_se(n_exist, trials)
     p_unique, se_unique = _prop_se(n_unique, trials)
@@ -274,11 +275,10 @@ def mc_pair_correlation(params: ModelParams, i: int, trials: int,
 
 
 def mc_quasi_frequency(params: ModelParams, trials: int,
-                       workers: Optional[int] = None,
-                       budget: int = DEFAULT_BUDGET) -> tuple[EstimateRecord, EstimateRecord]:
+                       workers: Optional[int] = None) -> tuple[EstimateRecord, EstimateRecord]:
     """Mean exact quasi-dominating count vs its formula, plus the conditional
     frequency of a quasi set existing given no dominating set (report-only)."""
-    s1, s2, n_nodom, n_qn = _run_trials("quasi", params, (budget,), trials, workers)
+    s1, s2, n_nodom, n_qn = _run_trials("quasi", params, (), trials, workers)
     mean, se = _mean_se(s1, s2, trials)
     formula = quasi_expected(params.n, params.d, params.k, params.p).value
     mean_rec = EstimateRecord(

@@ -74,11 +74,11 @@ class ModelParams:
 
     @classmethod
     def calibrated(cls, n: int, d: int, k: int | None = None,
-                   delta: float = 0.5, seed: int = 0, tol: float = 1e-12) -> "ModelParams":
+                   delta: float = 0.5, seed: int = 0) -> "ModelParams":
         """Params with p solved so the expected dominating-set count is delta."""
         if k is None:
             k = choose_k(n)
-        p = calibrate_p(n, d, k, delta, tol=tol)
+        p = calibrate_p(n, d, k, delta)
         return cls(n=n, d=d, k=k, p=p, delta=delta, seed=seed)
 
 

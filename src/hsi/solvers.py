@@ -32,8 +32,10 @@ keep masks take n^3 bits each and the ANDs cost n^2 bits each, so the pass
 runs only for k >= 3 and n <= PAIR_PASS_MAX_N: at k = 2 the one node ANDs
 over all of V, and the static-order pass matched or beat it on plain counts
 at every n.  That fallback branches on the first open u in ascending |S_u|
-order, sorted once per search, and settles the last pick for all of the
-node's branches in one loop.
+order, sorted once per search.  Both passes share one branch loop, and each
+branch goes to its settle level: a node with three picks left hands it to
+`pairs` in the pair pass, one with two picks left to `last_picks` in the
+fallback.
 
 Quasi mode (exactly one undominated vertex) adds one branch while no vertex
 has been missed: "u is the missed vertex", which removes all of S_u from A.
@@ -230,32 +232,25 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
         if count >= cap:
             raise _CapReached
 
-    def last_picks(chosen: int, allowed: int, open_: int, spare: int, xs: int) -> None:
-        """Settle the k-sets chosen | x | y with y the last pick, for each x in
-        `xs` in increasing order; xs == 0 settles chosen | y alone.
+    def last_picks(chosen: int, allowed: int, rows: int, open_: int, spare: int) -> None:
+        """Settle the k-sets chosen | y, y the last pick, a member of `allowed`.
 
-        x leaves A together with the members of xs below it, and y must lie
-        in every S_u that chosen | x leaves open, or in all but one if spare."""
+        y must lie in every S_u that chosen leaves open, or in all but one if
+        spare.  `rows` is unused: the arguments are those of `pairs`."""
         nonlocal examined
-        while True:
-            x = xs & -xs
-            xs ^= x
-            allowed ^= x
-            examined += allowed.bit_count()
-            rest = open_ & ~masks[x.bit_length() - 1] if x else open_
-            every, all_but_one = allowed, 0
-            while rest and (every or all_but_one):
-                low = rest & -rest
-                rest ^= low
-                s_u = masks[low.bit_length() - 1]
-                if spare:
-                    all_but_one = (all_but_one & s_u) | (every & ~s_u)
-                every &= s_u
-            found = all_but_one if spare else every
-            if found:
-                hits(found.bit_count(), _colex_subsets(found, 1), chosen | x)
-            if not xs:
-                return
+        examined += allowed.bit_count()
+        rest = open_
+        every, all_but_one = allowed, 0
+        while rest and (every or all_but_one):
+            low = rest & -rest
+            rest ^= low
+            s_u = masks[low.bit_length() - 1]
+            if spare:
+                all_but_one = (all_but_one & s_u) | (every & ~s_u)
+            every &= s_u
+        found = all_but_one if spare else every
+        if found:
+            hits(found.bit_count(), _colex_subsets(found, 1), chosen)
 
     def pairs(chosen: int, allowed: int, rows: int, open_: int, spare: int) -> None:
         """Settle the k-sets chosen | {x, y}, {x, y} a pair inside `allowed`,
@@ -291,12 +286,10 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
 
         `open_` holds the vertices chosen leaves undominated, less the missed
         one in quasi mode; `spare` is 1 while a quasi set may still miss one.
-        `rows` is the pair pass's mask of the pairs inside `allowed`; with
-        the pair pass, left is never 2: three picks left calls `pairs`."""
+        `rows` is the pair pass's mask of the pairs inside `allowed`.  A node
+        with `settle_left` picks left hands each branch to `settle` (`pairs`
+        in the pair pass, else `last_picks`), so left is never below it."""
         nonlocal examined
-        if left == 1:
-            last_picks(chosen, allowed, open_, spare, 0)
-            return
         size = allowed.bit_count()
         if not open_:
             block = comb(size, left)
@@ -317,10 +310,6 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
             for best in order:
                 if open_ >> best & 1:
                     break
-            branch = masks[best] & allowed
-            if branch:
-                last_picks(chosen, allowed, open_, spare, branch)
-            allowed ^= branch
         else:
             best, fewest = -1, size + 1
             for bit, m, u in by_vertex:  # ascending u: ties go to the lowest
@@ -330,30 +319,34 @@ def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
                         best, fewest = u, c
                         if c == 0:
                             break
-            branch = masks[best] & allowed
-            settle = left == 3 and pair_pass
-            while branch:
-                low = branch & -branch
-                branch ^= low
-                x = low.bit_length() - 1
-                allowed ^= low  # x leaves A together with the members below it
-                if pair_pass:
-                    rows &= keep[x]
-                if settle:
-                    pairs(chosen | low, allowed, rows, open_ & ~masks[x], spare)
-                else:
-                    visit(chosen | low, allowed, rows, left - 1, open_ & ~masks[x], spare)
+        branch = masks[best] & allowed
+        settles = left == settle_left
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            x = low.bit_length() - 1
+            allowed ^= low  # x leaves A together with the members below it
+            if pair_pass:
+                rows &= keep[x]
+            if settles:
+                settle(chosen | low, allowed, rows, open_ & ~masks[x], spare)
+            else:
+                visit(chosen | low, allowed, rows, left - 1, open_ & ~masks[x], spare)
         # allowed now avoids S_best, so best stays undominated in what is left
         if spare:
             visit(chosen, allowed, rows, left, open_ ^ (1 << best), 0)
         else:
             examined += comb(allowed.bit_count(), left)
 
+    settle, settle_left = (pairs, 3) if pair_pass else (last_picks, 2)
     capped = False
     depth = sys.getrecursionlimit()
     sys.setrecursionlimit(max(depth, k + 100))  # a frame per pick, one per miss
     try:
-        visit(0, full, rows, k, full, 1 if quasi else 0)
+        if k == 1:
+            last_picks(0, full, rows, full, 1 if quasi else 0)
+        else:
+            visit(0, full, rows, k, full, 1 if quasi else 0)
     except _CapReached:
         capped = True
     finally:

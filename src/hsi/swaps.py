@@ -319,8 +319,7 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
 
 
 def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedRegion(),
-                       retry_budget: int = 200, rng: Optional[SplitMix64] = None,
-                       witness_cap: int = 4, budget: int = DEFAULT_BUDGET) -> PairResult:
+                       retry_budget: int = 200) -> PairResult:
     """Sample until an instance has a unique dominating k-set, then flip it.
 
     Each attempt is counted on the closed masks built from its unranked
@@ -342,19 +341,19 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
         seed = indexed_seed(params.seed, STREAM_ATTEMPTS, attempt)
         edges = list(_unranked(n, d, _edge_ranks(params, seed)))
         masks = _closed_bits(n, edges)
-        report_yes = _search(n, masks, params.k, witness_cap, budget, 2, quasi=False)
+        # count_cap=2 finds at most two sets, so a witness cap of 2 keeps them all
+        report_yes = _search(n, masks, params.k, 2, DEFAULT_BUDGET, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
         g = _instance(n, d, edges, masks)
         s = report_yes.witnesses[0]
         try:
-            g_no, record = forward_swap(g, s, region=region, rng=rng)
+            g_no, record = forward_swap(g, s, region=region)
         except SwapNotFound as exc:
             failures[exc.reason] += 1
             continue
-        report_no = enumerate_dominating_sets(
-            g_no, params.k, witness_cap=witness_cap, budget=budget, count_cap=2)
+        report_no = enumerate_dominating_sets(g_no, params.k, witness_cap=2, count_cap=2)
         return PairResult(
             g_yes=g, g_no=g_no, record=record,
             report_yes=report_yes, report_no=report_no,

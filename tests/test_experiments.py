@@ -24,7 +24,6 @@ from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.moments import expected_count, quasi_expected, second_moment, solvability_bounds
 from hsi.rng import STREAM_TRIALS, indexed_seed
 from hsi.solvers import (
-    DEFAULT_BUDGET,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
     is_vertex_cover,
@@ -223,7 +222,7 @@ class TestKernelsDifferential:
         for t, g in self._instances(params, t0):
             c = enumerate_dominating_sets(g, k, witness_cap=0).count
             assert c == count_dominating_plain(g.n, g.edges, k)
-            assert _trial_solvable(params, (DEFAULT_BUDGET,), t) == \
+            assert _trial_solvable(params, (), t) == \
                 (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
     @given(kernel_params(), st.integers(0, 10**6))
@@ -235,7 +234,7 @@ class TestKernelsDifferential:
             nodom = 0 if enumerate_dominating_sets(g, k, witness_cap=0, count_cap=1).count else 1
             assert q == count_quasi_plain(g.n, g.edges, k)
             assert nodom == (0 if count_dominating_plain(g.n, g.edges, k) else 1)
-            assert _trial_quasi(params, (DEFAULT_BUDGET,), t) == \
+            assert _trial_quasi(params, (), t) == \
                 (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 
     @given(kernel_params(), st.integers(0, 10**6), st.data())
