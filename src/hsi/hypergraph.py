@@ -245,32 +245,31 @@ def _set_mask(s: Iterable[int]) -> int:
     return m
 
 
+def _covered(masks: Sequence[int], chosen: int) -> int:
+    """The vertices the set `chosen` dominates: the union of its closed masks."""
+    out = 0
+    for v in _vertices(chosen):
+        out |= masks[v]
+    return out
+
+
+def _closed_union(g: Hypergraph, s: Iterable[int]) -> int:
+    return _covered(g.neighborhood_masks, _set_mask(as_vertex_set(s, g.n)))
+
+
 def domination_status(g: Hypergraph, s: Iterable[int]) -> DominationStatus:
-    vs = as_vertex_set(s, g.n)
-    s_mask = _set_mask(vs)
-    masks = g.neighborhood_masks
-    dominated = tuple(bool(masks[v] & s_mask) for v in range(g.n))
-    undominated = tuple(v for v in range(g.n) if not dominated[v])
-    return DominationStatus(dominated=dominated, undominated=undominated)
+    missing = g.full_mask & ~_closed_union(g, s)
+    dominated = tuple(not missing >> v & 1 for v in range(g.n))
+    return DominationStatus(dominated=dominated, undominated=_vertices(missing))
 
 
 def is_dominating_set(g: Hypergraph, s: Iterable[int]) -> bool:
-    vs = as_vertex_set(s, g.n)
-    covered = 0
-    masks = g.neighborhood_masks
-    for v in vs:
-        covered |= masks[v]
-    return covered == g.full_mask
+    return _closed_union(g, s) == g.full_mask
 
 
 def is_quasi_dominating(g: Hypergraph, s: Iterable[int]) -> Optional[int]:
     """The unique undominated vertex when exactly one exists, else None."""
-    vs = as_vertex_set(s, g.n)
-    covered = 0
-    masks = g.neighborhood_masks
-    for v in vs:
-        covered |= masks[v]
-    missing = g.full_mask & ~covered
+    missing = g.full_mask & ~_closed_union(g, s)
     if missing and (missing & (missing - 1)) == 0:
         return missing.bit_length() - 1
     return None

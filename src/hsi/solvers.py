@@ -72,7 +72,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph, _vertices, as_vertex_set
+from .hypergraph import Hypergraph, _covered, _vertices, as_vertex_set
 
 DEFAULT_BUDGET = 10**9
 # Largest n for the pair pass.  Its table takes n^3 bits: 3.4 MB at n=300,
@@ -176,13 +176,6 @@ def _pair_bits(pairs: int, n: int) -> Iterator[int]:
         pairs ^= low
         y, x = divmod(low.bit_length() - 1, n)
         yield 1 << x | 1 << y
-
-
-def _covered(masks: Sequence[int], chosen: int) -> int:
-    out = 0
-    for v in _vertices(chosen):
-        out |= masks[v]
-    return out
 
 
 def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,

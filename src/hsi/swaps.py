@@ -8,20 +8,22 @@ pivot v is dominated only by u through one edge, the partner edge holds only u'
 of S, and afterwards v is undominated.  Backward trades the S-side pair away
 where v is undominated, and S dominates again.
 
-Both directions read the instance through its edge bitmasks.  One pass over
-the edges that meet S gives the forward roles: `once` and `twice` collect the
-vertices in at least one and in at least two of them, so a pivot is a vertex
-of `once & ~twice` outside S whose edge is usable, and every usable edge (it
-avoids the region and holds exactly one member of S) also lists its partners.
-The swapped instance comes from `Hypergraph.replace_edges`, which patches the
-closed masks on the moved vertices when the original has them.
+Both directions read the instance through its edge bitmasks, in one pass
+over the edges that meet S (`_scan`): `once` and `twice` collect the vertices
+in at least one and in at least two of them.  Of the edges that avoid the
+region, a usable one holds exactly one member of S and gives forward its
+pivots (in `once & ~twice`, outside S) and partners; an inner one holds two or
+more and gives backward its pairs u, u' of S.  The swapped instance comes from
+`Hypergraph.replace_edges`, which patches the closed masks on the moved
+vertices when the original has them.
 
-Each direction lists its own candidate roles; one search applies the first
-admissible one.  Candidates come in lexicographic order (optionally shuffled
-by a seeded generator), so a fixed seed reproduces the same SwapRecord.
-Pinned roles are a single candidate whose refusal is raised.  Every refusal
-carries a reason code (`SwapNotFound.reason`), and `build_selfref_pair` tallies
-its failed attempts by code.
+A candidate is admitted when the role lists hold it and both of its
+replacement edges are new; the lists hold every other rule (`_first_swap`).
+Candidates come in lexicographic order (optionally shuffled by a seeded
+generator), so a fixed seed reproduces the same SwapRecord.  Pinned roles are
+one candidate, refused unless the same lists hold them.  Every refusal carries
+a reason code (`SwapNotFound.reason`), and `build_selfref_pair` tallies its
+failed attempts by code.
 """
 
 from __future__ import annotations
@@ -120,26 +122,37 @@ class PairResult:
         return self.report_no.count == 0
 
 
-def _roles(g: Hypergraph, s, region: ProtectedRegion):
-    """The validated set, its pivots (v, u, e1) and its partners (v', u', e2).
-
-    An edge is usable when it avoids the region and holds exactly one member
-    of S.  v outside S is a pivot when exactly one edge meeting S holds it and
-    that edge, e1, is usable; u is e1's member of S.  Each vertex v' != u' of a
-    usable edge e2 is a partner, u' being e2's member of S.  Both lists are
-    sorted, so pivots come by increasing v."""
-    vs = as_vertex_set(s, g.n)
+def _scan(g: Hypergraph, vs, region: ProtectedRegion):
+    """One pass over the edge masks for both directions: the masks of S and
+    of the region, `once`, `twice`, and the edges that avoid the region split
+    into usable ones (e, u), holding one member u of S, and inner ones
+    (e, hit), holding the members `hit` of S, two or more."""
     s_mask = _set_mask(vs)
     blocked = _set_mask(v for v in region.vertices if 0 <= v < g.n)  # no edge holds others
     once = twice = 0
-    usable = []
+    usable, inner = [], []
     for e, m in zip(g.edges, g.edge_masks):
         hit = m & s_mask
         if hit:
             twice |= once & m
             once |= m
-            if not (hit & (hit - 1) or m & blocked):
-                usable.append((e, hit.bit_length() - 1))
+            if not m & blocked:
+                if hit & (hit - 1):
+                    inner.append((e, hit))
+                else:
+                    usable.append((e, hit.bit_length() - 1))
+    return s_mask, blocked, once, twice, usable, inner
+
+
+def _roles(g: Hypergraph, s, region: ProtectedRegion):
+    """The validated set, its pivots (v, u, e1) and its partners (v', u', e2).
+
+    v outside S is a pivot when exactly one edge meeting S holds it and that
+    edge, e1, is usable; u is e1's member of S.  Each vertex v' != u' of a
+    usable edge e2 is a partner, u' being e2's member of S.  Both lists are
+    sorted, so pivots come by increasing v."""
+    vs = as_vertex_set(s, g.n)
+    s_mask, _, once, twice, usable, _ = _scan(g, vs, region)
     if once | s_mask != g.full_mask:
         raise ValueError("forward swap needs a dominating set")
     sole = once & ~twice & ~s_mask
@@ -173,49 +186,20 @@ def _rewire(roles: SwapRoles, forward: bool) -> tuple[tuple[Edge, Edge], tuple[E
     return (pivot_side, s_side) if forward else (s_side, pivot_side)
 
 
-def _refusal(g: Hypergraph, roles: SwapRoles, forward: bool, removed, added,
-             s_set: set[int], blocked: set[int]) -> Optional[str]:
-    """Why the swap is inadmissible, or None when it may be applied."""
-    e1, e2 = removed
-    if e1 not in g.edge_set or e2 not in g.edge_set:
-        return f"edges {e1}, {e2} are not both present"
-    if e1 == e2:
-        return "the two swapped edges must differ"
-    for e in removed:
-        if any(x in blocked for x in e):
-            return f"edge {e} touches the protected region"
-    for x in (roles.u, roles.v, roles.u_prime, roles.v_prime):
-        if x in blocked:
-            return f"role vertex {x} lies in the protected region"
-    # each direction's rule on S: forward keeps (v, v', w...) outside S,
-    # backward takes u and u' from S
-    if forward:
-        if not s_set.isdisjoint((roles.v, roles.v_prime, *roles.w)):
-            return "the pivot-side replacement edge would still touch S"
-    elif roles.u not in s_set or roles.u_prime not in s_set:
-        return "backward swap needs both inner roles inside S"
-    for e in added:
-        if len(set(e)) != g.d:
-            return f"replacement edge {e} collapses to fewer than d vertices"
-        if e in g.edge_set:
-            return f"replacement edge {e} already exists"
-    if added[0] == added[1]:
-        return "replacement edges coincide"
-    return None
-
-
 def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, candidates,
                 exhausted: Optional[tuple[str, str]]) -> tuple[Hypergraph, SwapRecord]:
-    """Apply the first admissible candidate; raise `exhausted` (message, reason)
-    when none is, or, for pinned roles (`exhausted` None), the candidate's own
-    refusal."""
+    """Apply the first candidate whose replacement edges are both new; raise
+    `exhausted` (message, reason) when none is, or, for pinned roles
+    (`exhausted` None), the candidate's refusal.  The role lists hold every
+    other rule: forward's v meets S only through e1 and e2's only member of S
+    is u' != u, and backward's v is undominated, so e2 never meets S.  Either
+    way the removed edges differ, and each replacement edge has d distinct
+    vertices and only one of them holds v."""
     forward = direction == "forward"
-    s_set = set(vs)
-    blocked = set(region.vertices)
     for roles in candidates:
         removed, added = _rewire(roles, forward)
-        refusal = _refusal(g, roles, forward, removed, added, s_set, blocked)
-        if refusal is None:
+        clash = next((e for e in added if e in g.edge_set), None)
+        if clash is None:
             g2 = g.replace_edges(removed=removed, added=added)
             dominated = _dominated(g2.edge_masks, _set_mask(vs))
             # forward leaves the pivot undominated; backward leaves none
@@ -224,7 +208,7 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
             return g2, SwapRecord(removed=removed, added=added, roles=roles,
                                   direction=direction, protected=region)
         if exhausted is None:
-            raise SwapNotFound(refusal, "pinned")
+            raise SwapNotFound(f"replacement edge {clash} already exists", "pinned")
     raise SwapNotFound(*exhausted)
 
 
@@ -238,8 +222,12 @@ def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
     vs, pivots, partners = _roles(g, s, region)
     if roles is not None:
         e1 = _edge(roles.u, roles.v, roles.z)
+        e2 = _edge(roles.u_prime, roles.v_prime, roles.w)
         if (roles.v, roles.u, e1) not in pivots:
             raise SwapNotFound(f"vertex {roles.v} is not a pivot via {e1}", "pinned")
+        if roles.u_prime == roles.u or (roles.v_prime, roles.u_prime, e2) not in partners:
+            raise SwapNotFound(f"vertex {roles.v_prime} is not a partner of {roles.v} via {e2}",
+                               "pinned")
         return _first_swap(g, vs, region, "forward", [roles], None)
     if not pivots:
         raise SwapNotFound("no pivot vertex outside the protected region", "no-pivot")
@@ -269,37 +257,39 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
     inside one edge (v, v', w...); afterwards S dominates the instance.
     """
     vs = as_vertex_set(s, g.n)
-    s_set = set(vs)
     g._check_vertex(v)
-    if v in s_set:
+    if v in vs:
         raise ValueError(f"vertex {v} is inside the candidate set")
-    open_ = g.full_mask & ~_dominated(g.edge_masks, _set_mask(vs))
+    s_mask, blocked, once, _, _, inner_edges = _scan(g, vs, region)
+    open_ = g.full_mask & ~(once | s_mask)
     if not open_ >> v & 1:
         raise ValueError(f"vertex {v} is already dominated")
     undominated = list(_vertices(open_))
     # the swap newly dominates only the vertices of the edge (v, v', w...) it
     # removes, so that edge must hold every undominated vertex
-    holders = [e2 for e2, m in zip(g.edges, g.edge_masks) if m & open_ == open_]
+    holders = [(e2, m) for e2, m in zip(g.edges, g.edge_masks) if m & open_ == open_]
     if len(undominated) > 1 and not holders:
         raise SwapNotFound(f"no edge of {v} holds all undominated vertices {undominated}",
                            "no-holder")
-    blocked = set(region.vertices)
-    if v in blocked:
+    if blocked >> v & 1:
         raise SwapNotFound(f"undominated vertex {v} lies in the protected region", "protected")
+    inner = sorted(  # (u, u', e1): e1 avoids the region and holds u != u' of S
+        (u, u2, e1) for e1, hit in inner_edges
+        for u in _vertices(hit) for u2 in _vertices(hit) if u2 != u)
+    outer = sorted(  # (v', e2): e2 holds the undominated vertices and avoids the region
+        (v2, e2) for e2, m in holders if not m & blocked for v2 in e2 if v2 != v)
     if roles is not None:
         if roles.v != v:
             raise SwapNotFound(f"pinned roles move vertex {roles.v}, not the undominated {v}",
                                "pinned")
-        if not set(undominated).issubset(_edge(v, roles.v_prime, roles.w)):
+        e2 = _edge(v, roles.v_prime, roles.w)
+        if not set(undominated).issubset(e2):
             raise SwapNotFound(f"pinned roles leave some of {undominated} undominated", "pinned")
+        e1 = _edge(roles.u, roles.u_prime, roles.z)
+        if (roles.u, roles.u_prime, e1) not in inner or (roles.v_prime, e2) not in outer:
+            raise SwapNotFound(f"pinned roles trade {e1}, {e2}, not an inner and an outer "
+                               f"edge outside the region", "pinned")
         return _first_swap(g, vs, region, "backward", [roles], None)
-
-    inner = sorted(  # (u, u', e1): e1 avoids the region and holds u != u' of S
-        (u, u2, e1) for e1 in g.edges if not any(x in blocked for x in e1)
-        for u in e1 if u in s_set for u2 in e1 if u2 in s_set and u2 != u)
-    outer = sorted(  # (v', e2): e2 holds the undominated vertices and avoids the region
-        (v2, e2) for e2 in holders if not any(x in blocked for x in e2)
-        for v2 in e2 if v2 != v)
     if rng is not None:
         rng.shuffle(inner)
         rng.shuffle(outer)
@@ -334,6 +324,8 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     whether it has *no* dominating k-set at all is verified by enumeration and
     reported, not assumed.
     """
+    if retry_budget < 0:
+        raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
     n, d = params.n, params.d
     non_unique = 0
     failures: Counter[str] = Counter()

@@ -61,6 +61,30 @@ def swap_roles_plain(n, edges, s, blocked):
     return pivots, partners
 
 
+def backward_swap_plain(n, edges, s, v, blocked):
+    """The backward swap's first candidate, from plain set logic: inner roles
+    (u, u', e1) with u != u' both of s in an edge e1 that avoids `blocked`;
+    outer roles (v', e2) with v' != v in an edge e2 that avoids `blocked` and
+    holds every vertex s leaves undominated (v among them).  Both lists
+    sorted; the first pair whose replacement edges (v, u, z...), (v', u', w...)
+    are both new gives ((e1, e2), (added...)), and None when no pair does."""
+    sset, bset = set(s), set(blocked)
+    present = {tuple(e) for e in edges}
+    open_ = set(undominated_plain(n, edges, s))
+    inner = sorted((u, u2, tuple(e)) for e in edges if not bset.intersection(e)
+                   for u in e if u in sset for u2 in e if u2 in sset and u2 != u)
+    outer = sorted((v2, tuple(e)) for e in edges
+                   if open_.issubset(e) and not bset.intersection(e) for v2 in e if v2 != v)
+    for u, u2, e1 in inner:
+        z = [x for x in e1 if x not in (u, u2)]
+        for v2, e2 in outer:
+            w = [x for x in e2 if x not in (v, v2)]
+            added = (tuple(sorted([v, u, *z])), tuple(sorted([v2, u2, *w])))
+            if not present.intersection(added):
+                return (e1, e2), added
+    return None
+
+
 def is_cover_plain(edges, s):
     sset = set(s)
     return all(sset.intersection(e) for e in edges)

@@ -249,6 +249,14 @@ class TestPairCli:
         assert code == 1 and err.startswith("error: --vh-size")
 
 
+    def test_negative_retries(self, tmp_path, capsys):
+        code, _, err = run(capsys, "pair", "--n", "30", "--d", "3", "--k", "3",
+                           "--delta", "0.5", "--seed", "11", "--vh-size", "5", "--retries", "-3",
+                           "--out-prefix", str(tmp_path / "pair"))
+        assert code == 1 and err.startswith("error: retry_budget must be >= 0")
+        assert not (tmp_path / "pair_yes.json").exists()
+
+
 class TestExperimentCli:
     def test_trend_exit_0(self, tmp_path, capsys):
         path = str(tmp_path / "trend.csv")

@@ -3,7 +3,7 @@ import pytest
 from hsi.hypergraph import Hypergraph, domination_status, is_dominating_set
 from hsi.model import ModelParams, sample_hypergraph
 from hsi.rng import SplitMix64
-from hsi.solvers import enumerate_dominating_sets
+from hsi.solvers import enumerate_dominating_sets, enumerate_quasi_dominating_sets
 from hsi.swaps import (
     PairResult,
     ProtectedRegion,
@@ -17,7 +17,7 @@ from hsi.swaps import (
     forward_swap,
 )
 
-from oracles import swap_roles_plain
+from oracles import backward_swap_plain, swap_roles_plain
 
 STAR = Hypergraph(7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)])
 FIG = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)])
@@ -146,6 +146,15 @@ class TestForwardSwap:
         with pytest.raises(SwapNotFound):
             forward_swap(FIG, FIG_SET, roles=bad)
 
+    def test_pinned_partner_edge_must_hold_one_member_of_s(self):
+        # (1, 3, 5) makes 3 a pivot via u = 1, but the partner edge (4, 5, 6)
+        # holds no member of S, so the roles are in no partner list
+        g = Hypergraph(7, 3, [(0, 2, 6), (1, 2, 6), (1, 3, 5), (1, 4, 6), (2, 5, 6), (4, 5, 6)])
+        roles = SwapRoles(u=1, v=3, u_prime=4, v_prime=5, z=(5,), w=(6,))
+        with pytest.raises(SwapNotFound, match="not a partner") as err:
+            forward_swap(g, (0, 1, 2), roles=roles)
+        assert err.value.reason == "pinned"
+
 
 class TestBackwardSwap:
     def test_figure_inverse(self):
@@ -197,6 +206,38 @@ class TestBackwardSwap:
         g2, rec = backward_swap(g, s, 2)
         assert rec.removed == ((0, 1, 7), (2, 5, 6))
         assert is_dominating_set(g2, s)
+
+    def test_lists_against_plain_oracle(self):
+        # the one-pass role lists against plain set logic on 200 instances
+        # with a quasi-dominating 3-set, with and without a region; a random
+        # 3-set, which may leave several vertices open, rides along
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5)
+        rng = SplitMix64(3)
+        checked = swapped = refused = 0
+        seed = 0
+        while checked < 200:
+            g = sample_hypergraph(params.with_seed(seed))
+            seed += 1
+            report = enumerate_quasi_dominating_sets(g, 3, witness_cap=1)
+            if not report.count:
+                continue
+            checked += 1
+            other = tuple(sorted({rng.randbelow(30) for _ in range(3)}))
+            for s in (report.witnesses[0], other):
+                open_ = domination_status(g, s).undominated
+                if not open_:
+                    continue
+                for region in (ProtectedRegion(), ProtectedRegion(tuple(range(5)))):
+                    expected = backward_swap_plain(g.n, g.edges, s, open_[0], region.vertices)
+                    if expected is None:
+                        with pytest.raises(SwapNotFound):
+                            backward_swap(g, s, open_[0], region)
+                        refused += 1
+                    else:
+                        _, rec = backward_swap(g, s, open_[0], region)
+                        assert (rec.removed, rec.added) == expected
+                        swapped += 1
+        assert swapped > 150 and refused > 100
 
 
 class TestRoundTrip:
@@ -302,6 +343,11 @@ class TestBuildPair:
             build_selfref_pair(params, region=ProtectedRegion(tuple(range(20))), retry_budget=300)
         assert err.value.swap_failures > 0
         assert sum(err.value.failure_reasons.values()) == err.value.swap_failures
+
+    def test_negative_budget(self):
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5, seed=1)
+        with pytest.raises(ValueError, match="retry_budget must be >= 0, got -3"):
+            build_selfref_pair(params, retry_budget=-3)
 
     def test_zero_budget(self):
         params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5, seed=1)
