@@ -6,7 +6,6 @@ from .hypergraph import (
     DominationStatus,
     Hypergraph,
     as_vertex_set,
-    closed_neighborhood,
     domination_status,
     dumps_instance,
     is_dominating_set,
@@ -34,13 +33,11 @@ from .moments import (
     SolvabilityBounds,
     ds_correlation_ratio,
     expected_count,
-    log_expected_count,
     quasi_expected,
     quasi_second_moment,
     second_moment,
     solvability_bounds,
     vc_correlation_ratio,
-    vc_cover_prob,
 )
 from .rng import SplitMix64, derive_seed
 from .solvers import (
@@ -48,8 +45,6 @@ from .solvers import (
     SolveReport,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
-    has_dominating_set,
-    is_vertex_cover,
 )
 from .swaps import (
     PairResult,
@@ -60,7 +55,6 @@ from .swaps import (
     SwapRoles,
     backward_swap,
     build_selfref_pair,
-    find_pivot,
     forward_swap,
 )
 from .experiments import (

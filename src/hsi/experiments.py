@@ -149,7 +149,11 @@ def _resolve_workers(workers: Optional[int]) -> int:
     source = "workers"
     if workers is None:
         source = "HSI_THREADS"
-        workers = int(os.environ.get("HSI_THREADS", "1") or "1")
+        raw = os.environ.get("HSI_THREADS", "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"HSI_THREADS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers

@@ -232,12 +232,6 @@ def as_vertex_set(members: Iterable[int], n: int) -> VertexSet:
     return ms
 
 
-def closed_neighborhood(g: Hypergraph, u: int) -> VertexSet:
-    """{u} together with every vertex sharing at least one edge with u."""
-    g._check_vertex(u)
-    return _vertices(g.neighborhood_masks[u])
-
-
 def _set_mask(s: Iterable[int]) -> int:
     m = 0
     for v in s:

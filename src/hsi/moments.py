@@ -177,20 +177,15 @@ class SolvabilityBounds(NamedTuple):
     unique_lower: float
 
 
-def log_expected_count(n: int, d: int, k: int, p: float) -> float:
-    """log E[X] where X counts dominating sets of size k."""
+def expected_count(n: int, d: int, k: int, p: float) -> float:
+    """E[X] = C(n,k) (1 - (1-p)^M)^(n-k)."""
     _validate_p(p)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == n:
-        return 0.0
+        return 1.0
     miss = _Miss(n, d, k, p)
-    return _lcomb(n, k) + (n - k) * miss.log_omq0
-
-
-def expected_count(n: int, d: int, k: int, p: float) -> float:
-    """E[X] = C(n,k) (1 - (1-p)^M)^(n-k)."""
-    return _exp(log_expected_count(n, d, k, p))
+    return _exp(_lcomb(n, k) + (n - k) * miss.log_omq0)
 
 
 def second_moment(n: int, d: int, k: int, p: float) -> MomentReport:
@@ -254,20 +249,17 @@ def ds_correlation_ratio(n: int, d: int, k: int, i: int, p: float) -> Correlatio
     )
 
 
-def vc_cover_prob(n: int, k: int, p: float, d: int = 2) -> float:
-    """Probability a fixed k-set is a vertex cover: no edge in the complement."""
-    _validate_p(p)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    free = math.comb(n - k, d) if n - k >= d else 0
-    return _exp(_log_pow(math.log1p(-p), free))
-
-
 def vc_correlation_ratio(n: int, k: int, i: int, p: float, d: int = 2) -> CorrelationRatio:
-    """Vertex-cover pair correlation (1-p)^(-C(n-2k+i, d)); exact for all d."""
+    """Vertex-cover pair correlation (1-p)^(-C(n-2k+i, d)); exact for all d.
+
+    At i = k it is 1 / Pr(a fixed k-set is a vertex cover)."""
     _validate_p(p)
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
+    if 2 * k - i > n:
+        raise ValueError(f"union size 2k-i={2*k-i} exceeds n={n}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     shared = n - 2 * k + i
     free = math.comb(shared, d) if shared >= d else 0
     log_value = -_log_pow(math.log1p(-p), free)

@@ -56,7 +56,8 @@ reproducible; the search visits at most about sum_{j<=k} C(n, j) nodes.
 
 The search is `_search(n, masks, ...)`: it reads only the vertex count and the
 closed-neighborhood bitmasks.  The public functions pass a `Hypergraph`'s
-`neighborhood_masks`; the Monte-Carlo kernels and the pair builder's attempts
+`neighborhood_masks`, checking k and the budget first so that a refusal
+builds no masks; the Monte-Carlo kernels and the pair builder's attempts
 pass masks built straight from the sampled edge ranks, without a
 `Hypergraph`, and the pair builder's swapped instance passes masks patched
 from the original's.
@@ -70,9 +71,9 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph, _covered, _vertices, as_vertex_set
+from .hypergraph import Hypergraph, _covered, _vertices
 
 DEFAULT_BUDGET = 10**9
 # Largest n for the pair pass.  Its table takes n^3 bits: 3.4 MB at n=300,
@@ -178,15 +179,21 @@ def _pair_bits(pairs: int, n: int) -> Iterator[int]:
         yield 1 << x | 1 << y
 
 
-def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
-            count_cap: Optional[int], quasi: bool) -> SolveReport:
-    """Count the k-sets that dominate the instance on vertices 0..n-1 whose
-    closed-neighborhood bitmasks are `masks`, or in quasi mode miss exactly one."""
+def _admitted(n: int, k: int, budget: int) -> int:
+    """C(n, k), once k is in range and the budget admits that many k-sets."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = comb(n, k)
     if total > budget:
         raise BudgetExceeded(required=total, budget=budget)
+    return total
+
+
+def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
+            count_cap: Optional[int], quasi: bool) -> SolveReport:
+    """Count the k-sets that dominate the instance on vertices 0..n-1 whose
+    closed-neighborhood bitmasks are `masks`, or in quasi mode miss exactly one."""
+    total = _admitted(n, k, budget)
     if count_cap is not None and count_cap < 1:
         raise ValueError(f"count_cap must be >= 1, got {count_cap}")
     if witness_cap < 0:
@@ -368,6 +375,7 @@ def enumerate_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                               budget: int = DEFAULT_BUDGET,
                               count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of dominating k-sets (capped search when count_cap given)."""
+    _admitted(g.n, k, budget)  # a refusal builds no masks
     return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=False)
 
 
@@ -375,19 +383,5 @@ def enumerate_quasi_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                                     budget: int = DEFAULT_BUDGET,
                                     count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of k-sets that dominate all but exactly one vertex."""
+    _admitted(g.n, k, budget)  # a refusal builds no masks
     return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=True)
-
-
-def has_dominating_set(g: Hypergraph, k: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Existence fast path: stops at the first witness."""
-    return _search(g.n, g.neighborhood_masks, k, witness_cap=1, budget=budget, count_cap=1,
-                   quasi=False).count > 0
-
-
-def is_vertex_cover(g: Hypergraph, s: Iterable[int]) -> bool:
-    """True iff every hyperedge has at least one vertex in s."""
-    vs = as_vertex_set(s, g.n)
-    s_mask = 0
-    for v in vs:
-        s_mask |= 1 << v
-    return all(em & s_mask for em in g.edge_masks)

@@ -20,10 +20,10 @@ vertices when the original has them.
 A candidate is admitted when the role lists hold it and both of its
 replacement edges are new; the lists hold every other rule (`_first_swap`).
 Candidates come in lexicographic order (optionally shuffled by a seeded
-generator), so a fixed seed reproduces the same SwapRecord.  Pinned roles are
-one candidate, refused unless the same lists hold them.  Every refusal carries
-a reason code (`SwapNotFound.reason`), and `build_selfref_pair` tallies its
-failed attempts by code.
+generator), so a fixed seed reproduces the same SwapRecord.  Roles pinned for
+a backward swap are one candidate, refused unless the same lists hold them.
+Every refusal carries a reason code (`SwapNotFound.reason`), and
+`build_selfref_pair` tallies its failed attempts by code.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class SwapNotFound(RuntimeError):
 
     `reason` says which check refused: "no-pivot" and "no-partner" (forward),
     "not-quasi", "no-holder", "protected", "no-inner", "no-outer" and
-    "no-role" (backward), "pinned" (pinned roles of either direction)."""
+    "no-role" and "pinned" (backward)."""
 
     def __init__(self, message: str, reason: str):
         super().__init__(message)
@@ -161,15 +161,6 @@ def _roles(g: Hypergraph, s, region: ProtectedRegion):
     return vs, pivots, partners
 
 
-def find_pivot(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
-               rng: Optional[SplitMix64] = None) -> tuple[int, int, Edge]:
-    """A pivot `forward_swap` may use; lowest v wins unless rng picks uniformly."""
-    _, pivots, _ = _roles(g, s, region)
-    if not pivots:
-        raise SwapNotFound("no pivot vertex outside the protected region", "no-pivot")
-    return pivots[0] if rng is None else pivots[rng.randbelow(len(pivots))]
-
-
 def _edge(a: int, b: int, rest: tuple[int, ...]) -> Edge:
     return tuple(sorted((a, b, *rest)))
 
@@ -189,7 +180,7 @@ def _rewire(roles: SwapRoles, forward: bool) -> tuple[tuple[Edge, Edge], tuple[E
 def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, candidates,
                 exhausted: Optional[tuple[str, str]]) -> tuple[Hypergraph, SwapRecord]:
     """Apply the first candidate whose replacement edges are both new; raise
-    `exhausted` (message, reason) when none is, or, for pinned roles
+    `exhausted` (message, reason) when none is, or, for pinned backward roles
     (`exhausted` None), the candidate's refusal.  The role lists hold every
     other rule: forward's v meets S only through e1 and e2's only member of S
     is u' != u, and backward's v is undominated, so e2 never meets S.  Either
@@ -213,22 +204,12 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
 
 
 def forward_swap(g: Hypergraph, s, region: ProtectedRegion = ProtectedRegion(),
-                 rng: Optional[SplitMix64] = None,
-                 roles: Optional[SwapRoles] = None) -> tuple[Hypergraph, SwapRecord]:
+                 rng: Optional[SplitMix64] = None) -> tuple[Hypergraph, SwapRecord]:
     """Rewire (u,v,z...),(u',v',w...) -> (u,u',z...),(v,v',w...).
 
     Afterwards the pivot v shares no edge with S, so S stops dominating.
     """
     vs, pivots, partners = _roles(g, s, region)
-    if roles is not None:
-        e1 = _edge(roles.u, roles.v, roles.z)
-        e2 = _edge(roles.u_prime, roles.v_prime, roles.w)
-        if (roles.v, roles.u, e1) not in pivots:
-            raise SwapNotFound(f"vertex {roles.v} is not a pivot via {e1}", "pinned")
-        if roles.u_prime == roles.u or (roles.v_prime, roles.u_prime, e2) not in partners:
-            raise SwapNotFound(f"vertex {roles.v_prime} is not a partner of {roles.v} via {e2}",
-                               "pinned")
-        return _first_swap(g, vs, region, "forward", [roles], None)
     if not pivots:
         raise SwapNotFound("no pivot vertex outside the protected region", "no-pivot")
     if rng is not None:

@@ -115,9 +115,10 @@ def test_criterion_2_d2_exactness():
 
 
 def test_criterion_3_vertex_cover_exact_and_mc():
-    """vc_cover_prob / vc_correlation_ratio exact at n <= 5; the MC ratio at
-    (n=10,k=3,i=2,p=0.1,d=2) with 1e6 trials within 3 SE of (0.9)^-15."""
-    from hsi.moments import vc_correlation_ratio, vc_cover_prob
+    """The cover probability 1 / vc_correlation_ratio(i=k) and the ratio exact
+    at n <= 5; the MC ratio at (n=10,k=3,i=2,p=0.1,d=2) with 1e6 trials within
+    3 SE of (0.9)^-15."""
+    from hsi.moments import vc_correlation_ratio
 
     worst = 0.0
     for n, k, d in ((3, 1, 2), (4, 2, 2), (5, 2, 2), (5, 2, 3), (5, 3, 3), (5, 1, 4)):
@@ -126,7 +127,7 @@ def test_criterion_3_vertex_cover_exact_and_mc():
         profile = ensemble_profile(n, d, lambda e: 1.0 if is_cover_plain(e, s) else 0.0)
         for p in (0.1, 0.4, 0.7):
             truth = ensemble_average(profile, pot, p)
-            got = vc_cover_prob(n, k, p, d)
+            got = 1 / vc_correlation_ratio(n, k, k, p, d).value
             rel = abs(got - truth) / truth
             worst = max(worst, rel)
             assert rel <= REL_ENSEMBLE

@@ -322,6 +322,14 @@ class TestExperimentCli:
         assert code == 1 and out == ""
         assert err.startswith("error: HSI_THREADS must be >= 1")
 
+    def test_env_threads_not_an_integer_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("HSI_THREADS", "abc")
+        code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
+                             "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
+                             "--seed", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: HSI_THREADS must be an integer, got 'abc'")
+
     def test_degenerate_estimate_exit_1(self, capsys):
         code, _, err = run(capsys, "experiment", "--kind", "quasi", "--n", "6",
                            "--d", "3", "--k", "1", "--p", "1.0",

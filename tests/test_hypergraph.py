@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from hsi.hypergraph import (
     Hypergraph,
     as_vertex_set,
-    closed_neighborhood,
     domination_status,
     dumps_instance,
     is_dominating_set,
@@ -93,14 +92,14 @@ class TestConstruction:
 
 class TestNeighborhoods:
     def test_closed_neighborhood_examples(self):
-        assert closed_neighborhood(G52, 2) == (0, 1, 2, 3, 4)
-        assert closed_neighborhood(G52, 0) == (0, 1, 2)
+        assert G52.neighborhood_masks[2] == 0b11111
+        assert G52.neighborhood_masks[0] == 0b00111
         edgeless = Hypergraph(4, 2, ())
-        assert closed_neighborhood(edgeless, 3) == (3,)
+        assert edgeless.neighborhood_masks[3] == 0b1000
 
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):
-            closed_neighborhood(G52, 5)
+            G52.degree(5)
         with pytest.raises(ValueError):
             G52.degree(-1)
 
@@ -138,19 +137,20 @@ class TestDomination:
 
 def hits_every_neighborhood(g, s):
     """The hitting-set form: S meets the closed neighborhood S_u of every u."""
-    return all(set(s).intersection(closed_neighborhood(g, u)) for u in range(g.n))
+    s_mask = sum(1 << v for v in s)
+    return all(s_mask & m for m in g.neighborhood_masks)
 
 
 class TestHitting:
     def test_family_examples(self):
         edgeless = Hypergraph(3, 2, ())
-        assert [closed_neighborhood(edgeless, u) for u in range(3)] == [(0,), (1,), (2,)]
+        assert edgeless.neighborhood_masks == (0b001, 0b010, 0b100)
         assert hits_every_neighborhood(edgeless, (0, 1, 2))
         assert not hits_every_neighborhood(edgeless, (0, 1))
 
     def test_complete_graph(self):
         complete = Hypergraph(4, 3, itertools.combinations(range(4), 3))
-        assert all(closed_neighborhood(complete, u) == (0, 1, 2, 3) for u in range(4))
+        assert complete.neighborhood_masks == (0b1111,) * 4
 
 
 class TestProperties:
@@ -175,9 +175,11 @@ class TestProperties:
 
     @given(hypergraphs())
     def test_neighborhood_symmetry(self, g):
+        masks = g.neighborhood_masks
         for u in range(g.n):
-            for v in closed_neighborhood(g, u):
-                assert u in closed_neighborhood(g, v)
+            assert masks[u] >> u & 1
+            for v in range(g.n):
+                assert masks[u] >> v & 1 == masks[v] >> u & 1
 
     @given(hypergraph_and_set())
     def test_quasi_iff_single_undominated(self, gs):

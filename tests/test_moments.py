@@ -13,7 +13,6 @@ from hsi.moments import (
     second_moment,
     solvability_bounds,
     vc_correlation_ratio,
-    vc_cover_prob,
 )
 from hsi.rng import SplitMix64
 
@@ -166,6 +165,14 @@ class TestCorrelationRatios:
         for i in range(k + 1):
             assert ds_correlation_ratio(n, d, k, i, p).log_value >= 0.0
 
+    @pytest.mark.parametrize("n, k, i", [(5, 3, 0), (5, 2, 3), (5, 0, 0)])
+    def test_impossible_overlap_rejected(self, n, k, i):
+        # two disjoint 3-sets need 6 vertices; i > k and k = 0 name no pair
+        with pytest.raises(ValueError):
+            ds_correlation_ratio(n, 3, k, i, 0.5)
+        with pytest.raises(ValueError):
+            vc_correlation_ratio(n, k, i, 0.5, 3)
+
     def test_vc_examples(self):
         r = vc_correlation_ratio(10, 3, 2, 0.1, 2)
         assert r.value == pytest.approx(0.9**-15, rel=1e-12)
@@ -174,9 +181,10 @@ class TestCorrelationRatios:
         assert r.regime == "vertex-cover"
 
     def test_vc_cover_prob_examples(self):
-        assert vc_cover_prob(5, 2, 0.5, 2) == pytest.approx(0.125, rel=1e-14)
-        assert vc_cover_prob(5, 5, 0.5, 2) == 1.0
-        assert vc_cover_prob(5, 2, 0.5, 3) == pytest.approx(0.5, rel=1e-14)
+        # at full overlap the ratio is 1 / Pr(a fixed k-set is a vertex cover)
+        assert 1 / vc_correlation_ratio(5, 2, 2, 0.5, 2).value == pytest.approx(0.125, rel=1e-14)
+        assert 1 / vc_correlation_ratio(5, 5, 5, 0.5, 2).value == 1.0
+        assert 1 / vc_correlation_ratio(5, 2, 2, 0.5, 3).value == pytest.approx(0.5, rel=1e-14)
 
     def test_vc_exact_against_ensemble(self):
         for n, k, d in ((4, 2, 2), (5, 2, 2), (5, 2, 3), (5, 3, 3)):
@@ -185,7 +193,8 @@ class TestCorrelationRatios:
             pot = len(potential_edges(n, d))
             for p in (0.2, 0.5, 0.8):
                 truth = ensemble_average(profile, pot, p)
-                assert vc_cover_prob(n, k, p, d) == pytest.approx(truth, rel=1e-9, abs=1e-15)
+                got = 1 / vc_correlation_ratio(n, k, k, p, d).value
+                assert got == pytest.approx(truth, rel=1e-9, abs=1e-15)
 
     def test_ds_ratio_partial_overlap_not_exact_even_at_d2(self):
         # the substitution classes share the edge between them, so the printed

@@ -13,8 +13,6 @@ from hsi.solvers import (
     _pair_table as pair_table,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
-    has_dominating_set,
-    is_vertex_cover,
 )
 
 from oracles import count_dominating_plain, count_quasi_plain, undominated_plain
@@ -70,6 +68,17 @@ class TestDominatingEnumeration:
             enumerate_dominating_sets(G52, 2, budget=5)
         assert err.value.required == 10 and err.value.budget == 5
 
+    @pytest.mark.parametrize("count", [enumerate_dominating_sets,
+                                       enumerate_quasi_dominating_sets])
+    def test_budget_refusal_builds_no_masks(self, count):
+        # C(2000, 4) k-sets exceed the default budget; the n masks of up to
+        # n bits each are never built
+        g = Hypergraph(2000, 3)
+        with pytest.raises(BudgetExceeded) as err:
+            count(g, 4)
+        assert err.value.required == math.comb(2000, 4)
+        assert g._nb_masks is None
+
     def test_k_range(self):
         with pytest.raises(ValueError):
             enumerate_dominating_sets(G52, 0)
@@ -104,7 +113,8 @@ class TestDominatingEnumeration:
             p = 0.02 + 0.25 * rng.random()
             k = 1 + rng.randbelow(3)
             g = sample_hypergraph(ModelParams(n=n, d=3, k=k, p=p, seed=trial * 7 + 1))
-            assert has_dominating_set(g, k) == (enumerate_dominating_sets(g, k).count > 0)
+            first = enumerate_dominating_sets(g, k, witness_cap=1, count_cap=1)
+            assert (first.count > 0) == (enumerate_dominating_sets(g, k).count > 0)
 
 
 class TestQuasiEnumeration:
@@ -275,17 +285,3 @@ class TestMultiword:
         assert rep.count == count_dominating_plain(80, g.edges, 2)
         q = enumerate_quasi_dominating_sets(g, 2, budget=10**7)
         assert q.count == count_quasi_plain(80, g.edges, 2)
-
-
-class TestVertexCover:
-    def test_path_examples(self):
-        path = Hypergraph(3, 2, [(0, 1), (1, 2)])
-        assert is_vertex_cover(path, (1,))
-        assert not is_vertex_cover(path, (0,))
-        assert is_vertex_cover(Hypergraph(3, 2, ()), ())
-
-    def test_d3(self):
-        g = Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])
-        assert is_vertex_cover(g, (2,))
-        assert is_vertex_cover(g, (0, 3))
-        assert not is_vertex_cover(g, (0, 1))

@@ -13,7 +13,6 @@ from hsi.swaps import (
     _roles,
     backward_swap,
     build_selfref_pair,
-    find_pivot,
     forward_swap,
 )
 
@@ -28,22 +27,26 @@ def degrees(g):
     return [g.degree(v) for v in range(g.n)]
 
 
+def pivots(g, s, region=ProtectedRegion()):
+    """The pivots (v, u, e1) the forward role scan lists, lowest v first."""
+    return _roles(g, s, region)[1]
+
+
 class TestFindPivot:
     def test_lowest_vertex_tie_break(self):
-        assert find_pivot(STAR, (0,)) == (1, 0, (0, 1, 2))
+        assert pivots(STAR, (0,))[0] == (1, 0, (0, 1, 2))
 
     def test_protected_region_excludes(self):
         region = ProtectedRegion(vertices=(1, 2))
-        assert find_pivot(STAR, (0,), region) == (3, 0, (0, 3, 4))
+        assert pivots(STAR, (0,), region)[0] == (3, 0, (0, 3, 4))
         # vertices outside [0, n) are in no edge, so they block nothing
         region = ProtectedRegion(vertices=(-1, 1, 2, 7, 99))
-        assert find_pivot(STAR, (0,), region) == (3, 0, (0, 3, 4))
+        assert pivots(STAR, (0,), region)[0] == (3, 0, (0, 3, 4))
 
     def test_region_holding_u_leaves_no_pivot(self):
         # u = 0 lies in every edge, so the region blocks every pivot edge
         region = ProtectedRegion(vertices=(0,))
-        with pytest.raises(SwapNotFound, match="no pivot vertex"):
-            find_pivot(STAR, (0,), region)
+        assert pivots(STAR, (0,), region) == []
         with pytest.raises(SwapNotFound, match="no pivot vertex"):
             forward_swap(STAR, (0,), region)
 
@@ -57,31 +60,35 @@ class TestFindPivot:
                 continue
             g, s, _, rec = result
             checked += 1
-            v, u, e1 = find_pivot(g, s, region)
+            listed = pivots(g, s, region)
+            v, u, e1 = listed[0]
             # without rng the search tries pivots lowest first, so the pivot it
             # used comes no earlier than the lowest one
             assert v <= rec.roles.v and u in s and v in e1
             assert not set(region.vertices).intersection(e1)
+            assert (rec.roles.v, rec.roles.u, rec.removed[0]) in listed
         assert checked >= 3
 
     def test_full_set_has_no_pivot(self):
-        with pytest.raises(SwapNotFound):
-            find_pivot(STAR, tuple(range(7)))
+        assert pivots(STAR, tuple(range(7))) == []
+        with pytest.raises(SwapNotFound) as err:
+            forward_swap(STAR, tuple(range(7)))
+        assert err.value.reason == "no-pivot"
 
     def test_non_dominating_set_rejected(self):
         with pytest.raises(ValueError):
-            find_pivot(STAR, (1,))
+            _roles(STAR, (1,), ProtectedRegion())
 
     def test_multiply_dominated_vertex_is_not_a_pivot(self):
         g = Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
-        # vertex 3 meets S={2} through two edges; 0,1,4 qualify
-        assert find_pivot(g, (2,))[0] == 0
+        # vertices 1 and 3 meet S={2} through two edges; 0 and 4 qualify
+        assert [v for v, _, _ in pivots(g, (2,))] == [0, 4]
 
     def test_seeded_choice_is_deterministic(self):
-        picks = {find_pivot(STAR, (0,), rng=SplitMix64(s))[0] for s in range(12)}
-        assert picks.issubset({1, 2, 3, 4, 5, 6}) and len(picks) > 1
-        assert find_pivot(STAR, (0,), rng=SplitMix64(4)) == \
-            find_pivot(STAR, (0,), rng=SplitMix64(4))
+        picks = {forward_swap(FIG, FIG_SET, rng=SplitMix64(s))[1].roles.v for s in range(12)}
+        assert picks.issubset({2, 3, 5, 6}) and len(picks) > 1
+        assert forward_swap(FIG, FIG_SET, rng=SplitMix64(4)) == \
+            forward_swap(FIG, FIG_SET, rng=SplitMix64(4))
 
 
     def test_roles_against_incidence_lists(self):
@@ -137,23 +144,6 @@ class TestForwardSwap:
     def test_requires_dominating_set(self):
         with pytest.raises(ValueError):
             forward_swap(FIG, (1,))
-
-    def test_pinned_roles_validated(self):
-        roles = SwapRoles(u=1, v=3, u_prime=4, v_prime=5, z=(2,), w=(6,))
-        g2, rec = forward_swap(FIG, FIG_SET, roles=roles)
-        assert rec.added == ((1, 2, 4), (3, 5, 6))
-        bad = SwapRoles(u=4, v=2, u_prime=1, v_prime=3, z=(5,), w=(6,))
-        with pytest.raises(SwapNotFound):
-            forward_swap(FIG, FIG_SET, roles=bad)
-
-    def test_pinned_partner_edge_must_hold_one_member_of_s(self):
-        # (1, 3, 5) makes 3 a pivot via u = 1, but the partner edge (4, 5, 6)
-        # holds no member of S, so the roles are in no partner list
-        g = Hypergraph(7, 3, [(0, 2, 6), (1, 2, 6), (1, 3, 5), (1, 4, 6), (2, 5, 6), (4, 5, 6)])
-        roles = SwapRoles(u=1, v=3, u_prime=4, v_prime=5, z=(5,), w=(6,))
-        with pytest.raises(SwapNotFound, match="not a partner") as err:
-            forward_swap(g, (0, 1, 2), roles=roles)
-        assert err.value.reason == "pinned"
 
 
 class TestBackwardSwap:
