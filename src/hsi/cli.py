@@ -108,6 +108,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     g, _ = read_instance(args.infile)
     fn = enumerate_quasi_dominating_sets if args.quasi else enumerate_dominating_sets
     try:

@@ -5,6 +5,10 @@ the documented PRNG, so trials are order-independent; every per-trial summary
 is a small integer tuple and aggregation is plain integer addition, which
 makes results bit-identical no matter how trials are split across workers.
 Worker count comes from the call site or the HSI_THREADS environment variable.
+A pooled call splits its trials into at most that many contiguous shares; the
+calling process runs the first share and forks one child per other share, so a
+call never starts more processes than it has shares, and more than one worker
+needs `os.fork`.
 A trial kernel never builds a `Hypergraph`: it draws its instance's edge ranks
 and counts on bitmasks built straight from them, the instance
 `sample_hypergraph` would give for the trial's seed.
@@ -87,7 +91,7 @@ def _prop_se(hits: int, n: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
-# -- trial kernels (module level so process pools can pickle them) -----------
+# -- trial kernels ------------------------------------------------------------
 
 
 def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
@@ -156,28 +160,78 @@ def _resolve_workers(workers: Optional[int]) -> int:
             raise ValueError(f"HSI_THREADS must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{source} above 1 needs os.fork, which this platform lacks")
     return workers
+
+
+def _fork_share(kind: str, params: ModelParams, extra, lo: int, hi: int):
+    """Fork a child that pickles the sum of trials [lo, hi), or the exception
+    it raised, into a pipe; return the child's pid and the pipe's read end."""
+    import pickle
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1  # unless the whole payload is written
+        try:
+            os.close(r)
+            try:
+                payload = _sum_range(kind, params, extra, lo, hi)
+            except Exception as exc:
+                payload = exc
+            with open(w, "wb") as fh:
+                pickle.dump(payload, fh)
+            code = 0
+        finally:
+            os._exit(code)  # never the parent's atexit handlers or stdio buffers
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _run_trials(kind: str, params: ModelParams, extra, trials: int,
                 workers: Optional[int]) -> tuple[int, ...]:
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    w = _resolve_workers(workers)
-    if w == 1:
-        return _sum_range(kind, params, extra, 0, trials)
-    step = max(1, -(-trials // (w * 4)))
-    _binom_columns(params.n, params.d)  # the unranking columns, built once before the fork
-    ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    from concurrent.futures import ProcessPoolExecutor  # only pooled calls pay the import
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        partials = list(pool.map(_sum_range, *zip(*[(kind, params, extra, lo, hi)
-                                                    for lo, hi in ranges])))
-    total = [0] * len(partials[0])
-    for part in partials:
-        for j, x in enumerate(part):
-            total[j] += x
-    return tuple(total)
+    shares = min(_resolve_workers(workers), trials)
+    cuts = [trials * s // shares for s in range(shares + 1)]
+    if shares > 1:
+        import pickle  # only pooled calls pay the imports
+        import signal
+    _binom_columns(params.n, params.d)  # the unranking columns, built once before the forks
+    children = {}  # share -> (pid, read end), until the child is reaped
+    try:
+        for s in range(1, shares):
+            children[s] = _fork_share(kind, params, extra, cuts[s], cuts[s + 1])
+        total = list(_sum_range(kind, params, extra, 0, cuts[1]))
+        for s in range(1, shares):
+            pid, fh = children[s]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[s]
+            try:
+                part = pickle.loads(data)
+            except Exception:  # a truncated or empty payload
+                part = None
+            if isinstance(part, Exception):
+                raise part
+            if not isinstance(part, tuple):
+                raise ChildProcessError(
+                    f"trial share {s} (trials {cuts[s]}..{cuts[s + 1] - 1}) gave no result; "
+                    f"exit status {os.waitstatus_to_exitcode(status)}")
+            for j, x in enumerate(part):
+                total[j] += x
+        return tuple(total)
+    finally:  # on an error here or in a child, the shares still running are dropped
+        for pid, fh in children.values():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # -- experiments --------------------------------------------------------------

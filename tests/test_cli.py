@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import hsi.cli as cli
+import hsi.experiments as experiments
 from hsi.experiments import EstimateRecord
 from hsi.hypergraph import Hypergraph, read_instance, write_instance
 from hsi.model import calibrate_p
@@ -133,6 +134,13 @@ class TestGenAndSolve:
         code, out, err = run(capsys, "solve", "--in", path, "--k", "2", "--witnesses", "-1")
         assert code == 1 and out == ""
         assert err.startswith("error: witness_cap must be >= 0")
+
+    def test_solve_negative_budget_exit_1(self, tmp_path, capsys):
+        path = str(tmp_path / "g.json")
+        write_instance(Hypergraph(4, 3, [(0, 1, 2)]), path)
+        code, out, err = run(capsys, "solve", "--in", path, "--k", "2", "--budget", "-5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --budget must be >= 0")
 
     def test_solve_quasi(self, tmp_path, capsys):
         path = str(tmp_path / "q.json")
@@ -313,6 +321,20 @@ class TestExperimentCli:
                              "--seed", "5", "--workers", workers)
         assert code == 1 and out == ""
         assert err.startswith("error: --workers must be >= 1")
+
+    def test_error_in_a_forked_share_exit_1(self, capsys, monkeypatch):
+        real = experiments._KERNELS["solvable"]
+
+        def kernel(params, extra, t):
+            if t >= 8:  # the last trials, in the second share
+                raise ValueError("boom")
+            return real(params, extra, t)
+
+        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)
+        code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
+                             "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
+                             "--seed", "5", "--workers", "2")
+        assert (code, out, err) == (1, "", "error: boom\n")
 
     def test_env_threads_below_one_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("HSI_THREADS", "-3")

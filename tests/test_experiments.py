@@ -1,8 +1,10 @@
 import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hsi.experiments as experiments
 from hsi.experiments import (
     DegenerateEstimate,
     EstimateRecord,
@@ -15,6 +17,8 @@ from hsi.experiments import (
     records_to_csv,
     write_csv,
     _ratio_se,
+    _resolve_workers,
+    _run_trials,
     _trial_pair,
     _trial_quasi,
     _trial_solvable,
@@ -35,6 +39,7 @@ from oracles import (
 )
 
 D2 = ModelParams(n=12, d=2, k=2, p=0.3, seed=99)
+SMALL = ModelParams(n=8, d=2, k=2, p=0.5, seed=2)  # 7 trials leave no denominator empty
 
 
 def _true_d2_pair_ratio(n, k, i, p):
@@ -253,6 +258,10 @@ class TestKernelsDifferential:
                     (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
 
 
+def _raise_unpicklable():
+    raise ValueError(lambda: 0)  # a lambda does not pickle
+
+
 class TestDeterminismAndWorkers:
     def test_csv_byte_identical(self, tmp_path):
         rec1 = mc_expected_count(D2, 300)
@@ -262,10 +271,75 @@ class TestDeterminismAndWorkers:
         write_csv([rec1], path)
         assert path.read_text() == records_to_csv([rec1])
 
-    def test_worker_count_does_not_change_results(self):
-        seq = mc_expected_count(D2, 240, workers=1)
-        par = mc_expected_count(D2, 240, workers=2)
-        assert records_to_csv([seq]) == records_to_csv([par])
+    RUNS = {
+        "solvable": lambda w: mc_solvable_and_unique(SMALL, 7, workers=w),
+        "pair": lambda w: (mc_pair_correlation(SMALL, 1, 7, workers=w),),
+        "quasi": lambda w: mc_quasi_frequency(SMALL, 7, workers=w),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])  # 8 is trials + 1
+    @pytest.mark.parametrize("kind", ["solvable", "pair", "quasi"])
+    def test_worker_count_does_not_change_results(self, kind, workers):
+        run = self.RUNS[kind]
+        assert records_to_csv(run(workers)) == records_to_csv(run(1))
+
+    @pytest.mark.parametrize("workers, trials, forks", [(6, 2, 1), (3, 7, 2), (2, 1, 0), (1, 7, 0)])
+    def test_one_fork_per_share_past_the_first(self, monkeypatch, workers, trials, forks):
+        calls = []
+        real_fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        _run_trials("solvable", D2, (), trials, workers)
+        assert len(calls) == forks
+
+    @pytest.mark.parametrize("bad, error", [
+        (range(5, 7), ValueError("boom")),  # the last trials, in the third share
+        (range(2, 4), ValueError("boom")),  # the second share, with the third one still open
+        (range(0, 1), ValueError("boom")),  # the parent's own share
+        (range(0, 1), KeyboardInterrupt()),
+    ], ids=["last-child", "first-child", "parent", "parent-interrupt"])
+    def test_error_in_a_share_is_raised_and_every_child_reaped(self, monkeypatch, bad, error):
+        real = experiments._KERNELS["solvable"]
+
+        def kernel(params, extra, t):
+            if t in bad:
+                raise error
+            return real(params, extra, t)
+
+        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)  # the forks inherit it
+        with pytest.raises(type(error), match=f"^{error}$"):
+            mc_solvable_and_unique(D2, 7, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("action, status", [
+        (lambda: os._exit(3), 3),
+        (_raise_unpicklable, 1),
+    ], ids=["exit", "unpicklable"])
+    def test_child_without_a_result(self, monkeypatch, action, status):
+        real = experiments._KERNELS["solvable"]
+
+        def kernel(params, extra, t):
+            if t == 6:
+                action()
+            return real(params, extra, t)
+
+        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)
+        message = rf"^trial share 2 \(trials 4\.\.6\) gave no result; exit status {status}$"
+        with pytest.raises(ChildProcessError, match=message):
+            _run_trials("solvable", D2, (), 7, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_more_than_one_worker_needs_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _resolve_workers(1) == 1
+        with pytest.raises(ValueError, match="needs os.fork"):
+            _resolve_workers(2)
 
     def test_env_variable_controls_workers(self, monkeypatch):
         monkeypatch.setenv("HSI_THREADS", "2")
