@@ -28,7 +28,6 @@ from .experiments import (
 from .hypergraph import (
     as_vertex_set,
     domination_status,
-    is_quasi_dominating,
     read_instance,
     write_instance,
 )
@@ -130,13 +129,13 @@ def _cmd_swap(args) -> int:
     if args.dir == "forward":
         g2, record = forward_swap(g, s, region=region, rng=rng)
     else:
-        v = is_quasi_dominating(g, s)
-        if v is None:
-            status = domination_status(g, s)
-            raise SwapNotFound(
-                f"backward swap needs a quasi-dominating set; {len(status.undominated)} "
-                f"vertices are undominated", "not-quasi")
-        g2, record = backward_swap(g, s, v, region=region, rng=rng)
+        undominated = domination_status(g, s).undominated
+        if not undominated:
+            raise SwapNotFound("backward swap needs a quasi-dominating set, or one whose "
+                               "undominated vertices share an edge; this set dominates",
+                               "not-quasi")
+        # backward_swap checks that one edge holds the other undominated vertices
+        g2, record = backward_swap(g, s, undominated[0], region=region, rng=rng)
     write_instance(g2, f"{args.out}_swapped.json")
     with open(f"{args.out}_record.json", "w") as fh:
         json.dump(dataclasses.asdict(record), fh)
@@ -279,8 +278,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SwapNotFound, RetriesExhausted, GateFailure, DegenerateEstimate,
-            ValueError, OSError) as exc:
+    except (BudgetExceeded, SwapNotFound, RetriesExhausted, GateFailure,
+            DegenerateEstimate, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,12 @@ the documented PRNG, so trials are order-independent; every per-trial summary
 is a small integer tuple and aggregation is plain integer addition, which
 makes results bit-identical no matter how trials are split across workers.
 Worker count comes from the call site or the HSI_THREADS environment variable.
-A pooled call splits its trials into at most that many contiguous shares; the
-calling process runs the first share and forks one child per other share, so a
-call never starts more processes than it has shares, and more than one worker
-needs `os.fork`.
+A trial kernel is a function of the trial index alone; an estimator binds its
+parameters with `functools.partial`.  A pooled call splits its trials into at
+most that many contiguous shares; the calling process runs the first share and
+forks one child per other share, which inherits the kernel, so a call never
+starts more processes than it has shares, and more than one worker needs
+`os.fork`.
 A trial kernel never builds a `Hypergraph`: it draws its instance's edge ranks
 and counts on bitmasks built straight from them, the instance
 `sample_hypergraph` would give for the trial's seed.
@@ -24,12 +26,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from .hypergraph import _dominated
 from .model import (
     ModelParams,
-    _binom_columns,
     _closed_masks,
     _edge_masks,
     _edge_ranks,
@@ -98,14 +100,13 @@ def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
     return _edge_ranks(params, indexed_seed(params.seed, STREAM_TRIALS, t))
 
 
-def _trial_solvable(params: ModelParams, extra, t: int):
+def _trial_solvable(params: ModelParams, t: int):
     masks = _closed_masks(params.n, params.d, _trial_ranks(params, t))
     c = _search(params.n, masks, params.k, 0, DEFAULT_BUDGET, None, quasi=False).count
     return (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
 
-def _trial_pair(params: ModelParams, extra, t: int):
-    i, regime = extra
+def _trial_pair(params: ModelParams, i: int, regime: str, t: int):
     k = params.k
     s1 = (1 << k) - 1  # vertices 0..k-1
     s2 = s1 << (k - i)  # vertices k-i..2k-i-1
@@ -120,7 +121,7 @@ def _trial_pair(params: ModelParams, extra, t: int):
     return (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
 
 
-def _trial_quasi(params: ModelParams, extra, t: int):
+def _trial_quasi(params: ModelParams, t: int):
     n, k = params.n, params.k
     masks = _closed_masks(n, params.d, _trial_ranks(params, t))
     q = _search(n, masks, k, 0, DEFAULT_BUDGET, None, quasi=True).count
@@ -129,24 +130,18 @@ def _trial_quasi(params: ModelParams, extra, t: int):
     return (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 
 
-_KERNELS = {
-    "solvable": _trial_solvable,
-    "pair": _trial_pair,
-    "quasi": _trial_quasi,
-}
+def _sum_rows(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Column sums of one or more integer rows."""
+    rows = iter(rows)
+    total = list(next(rows))
+    for row in rows:
+        for j, x in enumerate(row):
+            total[j] += x
+    return tuple(total)
 
 
-def _sum_range(kind: str, params: ModelParams, extra, lo: int, hi: int):
-    fn = _KERNELS[kind]
-    acc: Optional[list[int]] = None
-    for t in range(lo, hi):
-        row = fn(params, extra, t)
-        if acc is None:
-            acc = list(row)
-        else:
-            for j, x in enumerate(row):
-                acc[j] += x
-    return tuple(acc or ())
+def _sum_range(trial: Callable[[int], Sequence[int]], lo: int, hi: int) -> tuple[int, ...]:
+    return _sum_rows(map(trial, range(lo, hi)))
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -165,7 +160,7 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _fork_share(kind: str, params: ModelParams, extra, lo: int, hi: int):
+def _fork_share(trial: Callable[[int], Sequence[int]], lo: int, hi: int):
     """Fork a child that pickles the sum of trials [lo, hi), or the exception
     it raised, into a pipe; return the child's pid and the pipe's read end."""
     import pickle
@@ -181,7 +176,7 @@ def _fork_share(kind: str, params: ModelParams, extra, lo: int, hi: int):
         try:
             os.close(r)
             try:
-                payload = _sum_range(kind, params, extra, lo, hi)
+                payload = _sum_range(trial, lo, hi)
             except Exception as exc:
                 payload = exc
             with open(w, "wb") as fh:
@@ -193,8 +188,9 @@ def _fork_share(kind: str, params: ModelParams, extra, lo: int, hi: int):
     return pid, open(r, "rb")
 
 
-def _run_trials(kind: str, params: ModelParams, extra, trials: int,
+def _run_trials(trial: Callable[[int], Sequence[int]], trials: int,
                 workers: Optional[int]) -> tuple[int, ...]:
+    """Sum trial(t) over t in [0, trials), split into contiguous shares."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     shares = min(_resolve_workers(workers), trials)
@@ -202,12 +198,11 @@ def _run_trials(kind: str, params: ModelParams, extra, trials: int,
     if shares > 1:
         import pickle  # only pooled calls pay the imports
         import signal
-    _binom_columns(params.n, params.d)  # the unranking columns, built once before the forks
     children = {}  # share -> (pid, read end), until the child is reaped
     try:
         for s in range(1, shares):
-            children[s] = _fork_share(kind, params, extra, cuts[s], cuts[s + 1])
-        total = list(_sum_range(kind, params, extra, 0, cuts[1]))
+            children[s] = _fork_share(trial, cuts[s], cuts[s + 1])
+        parts = [_sum_range(trial, 0, cuts[1])]
         for s in range(1, shares):
             pid, fh = children[s]
             with fh:
@@ -224,9 +219,8 @@ def _run_trials(kind: str, params: ModelParams, extra, trials: int,
                 raise ChildProcessError(
                     f"trial share {s} (trials {cuts[s]}..{cuts[s + 1] - 1}) gave no result; "
                     f"exit status {os.waitstatus_to_exitcode(status)}")
-            for j, x in enumerate(part):
-                total[j] += x
-        return tuple(total)
+            parts.append(part)
+        return _sum_rows(parts)
     finally:  # on an error here or in a child, the shares still running are dropped
         for pid, fh in children.values():
             fh.close()
@@ -243,7 +237,7 @@ def mc_expected_count(params: ModelParams, trials: int,
 
     Enforced at d=2 where the formula is exact; report-only for d>=3.
     """
-    s1, s2, _, _ = _run_trials("solvable", params, (), trials, workers)
+    s1, s2, _, _ = _run_trials(partial(_trial_solvable, params), trials, workers)
     mean, se = _mean_se(s1, s2, trials)
     formula = expected_count(params.n, params.d, params.k, params.p)
     return EstimateRecord(
@@ -262,7 +256,7 @@ def mc_solvable_and_unique(params: ModelParams, trials: int,
     same sample.  The second-moment band and the uniqueness bound hold only
     asymptotically, so they ride along as report-only context.
     """
-    s1, s2, n_exist, n_unique = _run_trials("solvable", params, (), trials, workers)
+    s1, s2, n_exist, n_unique = _run_trials(partial(_trial_solvable, params), trials, workers)
     mean_count, se_count = _mean_se(s1, s2, trials)
     p_exist, se_exist = _prop_se(n_exist, trials)
     p_unique, se_unique = _prop_se(n_unique, trials)
@@ -314,7 +308,7 @@ def mc_pair_correlation(params: ModelParams, i: int, trials: int,
         raise ValueError(f"unknown regime {regime!r}")
     if not 0 <= i <= params.k or 2 * params.k - i > params.n:
         raise ValueError(f"overlap i={i} incompatible with n={params.n}, k={params.k}")
-    n11, n1, n2 = _run_trials("pair", params, (i, regime), trials, workers)
+    n11, n1, n2 = _run_trials(partial(_trial_pair, params, i, regime), trials, workers)
     if n1 == 0 or n2 == 0:
         raise DegenerateEstimate(f"zero marginal estimate (n1={n1}, n2={n2})")
     ratio, se = _ratio_se(n11, n1, n2, trials)
@@ -336,7 +330,7 @@ def mc_quasi_frequency(params: ModelParams, trials: int,
                        workers: Optional[int] = None) -> tuple[EstimateRecord, EstimateRecord]:
     """Mean exact quasi-dominating count vs its formula, plus the conditional
     frequency of a quasi set existing given no dominating set (report-only)."""
-    s1, s2, n_nodom, n_qn = _run_trials("quasi", params, (), trials, workers)
+    s1, s2, n_nodom, n_qn = _run_trials(partial(_trial_quasi, params), trials, workers)
     mean, se = _mean_se(s1, s2, trials)
     formula = quasi_expected(params.n, params.d, params.k, params.p).value
     mean_rec = EstimateRecord(

@@ -192,10 +192,6 @@ def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int
     if total * p > MAX_EDGES:
         raise InstanceTooLarge(
             f"C({n},{d})*p = {total * p:.6g} expected edges exceeds the limit of {MAX_EDGES}")
-    if p == 0.0:
-        return ()
-    if p == 1.0:
-        return range(total)
     rng = SplitMix64(derive_seed(params.seed if seed is None else seed, STREAM_EDGES))
     count = rng.binomial(total, p)
     excluded = count > total // 2

@@ -50,8 +50,9 @@ class SwapNotFound(RuntimeError):
     """No admissible pivot/partner assignment exists.
 
     `reason` says which check refused: "no-pivot" and "no-partner" (forward),
-    "not-quasi", "no-holder", "protected", "no-inner", "no-outer" and
-    "no-role" and "pinned" (backward)."""
+    "no-holder", "protected", "no-inner", "no-outer" and "no-role" and
+    "pinned" (backward), and "not-quasi" when the CLI is asked for a backward
+    swap on a set that leaves no vertex undominated."""
 
     def __init__(self, message: str, reason: str):
         super().__init__(message)

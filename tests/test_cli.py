@@ -9,7 +9,13 @@ import pytest
 import hsi.cli as cli
 import hsi.experiments as experiments
 from hsi.experiments import EstimateRecord
-from hsi.hypergraph import Hypergraph, read_instance, write_instance
+from hsi.hypergraph import (
+    Hypergraph,
+    domination_status,
+    is_dominating_set,
+    read_instance,
+    write_instance,
+)
 from hsi.model import calibrate_p
 from hsi.moments import expected_count
 
@@ -20,6 +26,9 @@ def test_import_leaves_numpy_out():
     code = "import sys, hsi.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+BUDGET_ERROR = "error: enumeration needs 55098996177225 subsets, budget is 1000000000\n"
 
 
 def run(capsys, *argv):
@@ -215,6 +224,31 @@ class TestSwapCli:
                            "--dir", "backward", "--out", str(tmp_path / "x"))
         assert code == 1 and "quasi" in err
 
+    def test_backward_after_a_forward_that_leaves_several_undominated(self, tmp_path, capsys):
+        # the forward swap leaves 1 and 16 undominated as well as its pivot
+        g = str(tmp_path / "g.json")
+        fwd, back = str(tmp_path / "fwd"), str(tmp_path / "back")
+        assert run(capsys, "gen", "--n", "30", "--d", "3", "--k", "3", "--delta", "0.5",
+                   "--seed", "21", "--out", g)[0] == 0
+        assert run(capsys, "swap", "--in", g, "--set", "14,17,27", "--dir", "forward",
+                   "--out", fwd)[0] == 0
+        swapped, _ = read_instance(fwd + "_swapped.json")
+        assert len(domination_status(swapped, (14, 17, 27)).undominated) > 1
+        code, _, err = run(capsys, "swap", "--in", fwd + "_swapped.json", "--set", "14,17,27",
+                           "--dir", "backward", "--out", back)
+        assert (code, err) == (0, "")
+        restored, _ = read_instance(back + "_swapped.json")
+        assert is_dominating_set(restored, (14, 17, 27))
+
+    def test_backward_needs_one_edge_holding_the_undominated(self, tmp_path, capsys):
+        # S = {1,4} leaves 0, 2, 5 and 6 undominated, which no 3-edge holds
+        src = str(tmp_path / "quasi.json")
+        write_instance(Hypergraph(7, 3, [(0, 5, 6), (1, 3, 4), (2, 5, 6)]), src)
+        code, out, err = run(capsys, "swap", "--in", src, "--set", "1,4",
+                             "--dir", "backward", "--out", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert err == "error: no edge of 0 holds all undominated vertices [0, 2, 5, 6]\n"
+
     def test_protected_region_respected(self, tmp_path, capsys):
         src = str(tmp_path / "fig.json")
         write_instance(Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)]), src)
@@ -256,6 +290,13 @@ class TestPairCli:
                            "--out-prefix", str(tmp_path / "pair"))
         assert code == 1 and err.startswith("error: --vh-size")
 
+
+    def test_budget_refusal_exit_1(self, tmp_path, capsys):
+        code, out, err = run(capsys, "pair", "--n", "200", "--d", "3", "--k", "8",
+                             "--delta", "0.5", "--seed", "1", "--vh-size", "5",
+                             "--out-prefix", str(tmp_path / "pp"))
+        assert (code, out, err) == (1, "", BUDGET_ERROR)
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_retries(self, tmp_path, capsys):
         code, _, err = run(capsys, "pair", "--n", "30", "--d", "3", "--k", "3",
@@ -323,18 +364,27 @@ class TestExperimentCli:
         assert err.startswith("error: --workers must be >= 1")
 
     def test_error_in_a_forked_share_exit_1(self, capsys, monkeypatch):
-        real = experiments._KERNELS["solvable"]
+        real = experiments._trial_solvable
 
-        def kernel(params, extra, t):
+        def kernel(params, t):
             if t >= 8:  # the last trials, in the second share
                 raise ValueError("boom")
-            return real(params, extra, t)
+            return real(params, t)
 
-        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)
+        monkeypatch.setattr(experiments, "_trial_solvable", kernel)
         code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
                              "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
                              "--seed", "5", "--workers", "2")
         assert (code, out, err) == (1, "", "error: boom\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_budget_refusal_exit_1(self, capsys, workers):
+        code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "200",
+                             "--d", "3", "--k", "8", "--delta", "0.5", "--trials", "2",
+                             "--seed", "1", "--workers", workers)
+        assert (code, out, err) == (1, "", BUDGET_ERROR)
+        with pytest.raises(ChildProcessError):  # no forked share is left behind
+            os.waitpid(-1, os.WNOHANG)
 
     def test_env_threads_below_one_exit_1(self, capsys, monkeypatch):
         monkeypatch.setenv("HSI_THREADS", "-3")

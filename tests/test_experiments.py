@@ -1,10 +1,10 @@
 import math
 import os
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hsi.experiments as experiments
 from hsi.experiments import (
     DegenerateEstimate,
     EstimateRecord,
@@ -226,7 +226,7 @@ class TestKernelsDifferential:
         for t, g in self._instances(params, t0):
             c = enumerate_dominating_sets(g, k, witness_cap=0).count
             assert c == count_dominating_plain(g.n, g.edges, k)
-            assert _trial_solvable(params, (), t) == \
+            assert _trial_solvable(params, t) == \
                 (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
     @given(kernel_params(), st.integers(0, 10**6))
@@ -238,7 +238,7 @@ class TestKernelsDifferential:
             nodom = 0 if enumerate_dominating_sets(g, k, witness_cap=0, count_cap=1).count else 1
             assert q == count_quasi_plain(g.n, g.edges, k)
             assert nodom == (0 if count_dominating_plain(g.n, g.edges, k) else 1)
-            assert _trial_quasi(params, (), t) == \
+            assert _trial_quasi(params, t) == \
                 (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 
     @given(kernel_params(), st.integers(0, 10**6), st.data())
@@ -254,7 +254,7 @@ class TestKernelsDifferential:
                     ("vertex-cover", lambda s: is_cover_plain(g.edges, s)),
                     ("dominating-set", lambda s: is_dominating_plain(g.n, g.edges, s))):
                 y1, y2 = plain(s1), plain(s2)
-                assert _trial_pair(params, (i, regime), t) == \
+                assert _trial_pair(params, i, regime, t) == \
                     (1 if (y1 and y2) else 0, 1 if y1 else 0, 1 if y2 else 0)
 
 
@@ -293,8 +293,24 @@ class TestDeterminismAndWorkers:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        _run_trials("solvable", D2, (), trials, workers)
+        _run_trials(partial(_trial_solvable, D2), trials, workers)
         assert len(calls) == forks
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_synthetic_kernel_sums_and_forks(self, monkeypatch, workers):
+        calls = []
+        real_fork = os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for trials in range(1, 10):
+            del calls[:]
+            total = _run_trials(lambda t: (1, t, t * t), trials, workers)
+            assert total == (trials, sum(range(trials)), sum(t * t for t in range(trials)))
+            assert len(calls) == min(workers, trials) - 1
 
     @pytest.mark.parametrize("bad, error", [
         (range(5, 7), ValueError("boom")),  # the last trials, in the third share
@@ -302,17 +318,14 @@ class TestDeterminismAndWorkers:
         (range(0, 1), ValueError("boom")),  # the parent's own share
         (range(0, 1), KeyboardInterrupt()),
     ], ids=["last-child", "first-child", "parent", "parent-interrupt"])
-    def test_error_in_a_share_is_raised_and_every_child_reaped(self, monkeypatch, bad, error):
-        real = experiments._KERNELS["solvable"]
-
-        def kernel(params, extra, t):
+    def test_error_in_a_share_is_raised_and_every_child_reaped(self, bad, error):
+        def kernel(t):  # a closure does not pickle: the forks inherit it
             if t in bad:
                 raise error
-            return real(params, extra, t)
+            return _trial_solvable(D2, t)
 
-        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)  # the forks inherit it
         with pytest.raises(type(error), match=f"^{error}$"):
-            mc_solvable_and_unique(D2, 7, workers=3)
+            _run_trials(kernel, 7, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -320,18 +333,15 @@ class TestDeterminismAndWorkers:
         (lambda: os._exit(3), 3),
         (_raise_unpicklable, 1),
     ], ids=["exit", "unpicklable"])
-    def test_child_without_a_result(self, monkeypatch, action, status):
-        real = experiments._KERNELS["solvable"]
-
-        def kernel(params, extra, t):
+    def test_child_without_a_result(self, action, status):
+        def kernel(t):
             if t == 6:
                 action()
-            return real(params, extra, t)
+            return _trial_solvable(D2, t)
 
-        monkeypatch.setitem(experiments._KERNELS, "solvable", kernel)
         message = rf"^trial share 2 \(trials 4\.\.6\) gave no result; exit status {status}$"
         with pytest.raises(ChildProcessError, match=message):
-            _run_trials("solvable", D2, (), 7, 3)
+            _run_trials(kernel, 7, 3)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
