@@ -283,8 +283,9 @@ class TestDeterminismAndWorkers:
         run = self.RUNS[kind]
         assert records_to_csv(run(workers)) == records_to_csv(run(1))
 
-    @pytest.mark.parametrize("workers, trials, forks", [(6, 2, 1), (3, 7, 2), (2, 1, 0), (1, 7, 0)])
-    def test_one_fork_per_share_past_the_first(self, monkeypatch, workers, trials, forks):
+    @pytest.fixture
+    def fork_calls(self, monkeypatch):
+        """One entry per `os.fork` call made while the test runs."""
         calls = []
         real_fork = os.fork
 
@@ -293,24 +294,20 @@ class TestDeterminismAndWorkers:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    @pytest.mark.parametrize("workers, trials, forks", [(6, 2, 1), (3, 7, 2), (2, 1, 0), (1, 7, 0)])
+    def test_one_fork_per_share_past_the_first(self, fork_calls, workers, trials, forks):
         _run_trials(partial(_trial_solvable, D2), trials, workers)
-        assert len(calls) == forks
+        assert len(fork_calls) == forks
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_synthetic_kernel_sums_and_forks(self, monkeypatch, workers):
-        calls = []
-        real_fork = os.fork
-
-        def counting_fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+    def test_synthetic_kernel_sums_and_forks(self, fork_calls, workers):
         for trials in range(1, 10):
-            del calls[:]
+            del fork_calls[:]
             total = _run_trials(lambda t: (1, t, t * t), trials, workers)
             assert total == (trials, sum(range(trials)), sum(t * t for t in range(trials)))
-            assert len(calls) == min(workers, trials) - 1
+            assert len(fork_calls) == min(workers, trials) - 1
 
     @pytest.mark.parametrize("bad, error", [
         (range(5, 7), ValueError("boom")),  # the last trials, in the third share
