@@ -174,6 +174,8 @@ def _cmd_experiment(args) -> int:
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
     if args.kind == "trend":
+        if args.p is not None:
+            raise ValueError("--kind trend calibrates p to --delta at each n, so it takes no --p")
         records = ratio_trend([_params(args, n) for n in ns])
     else:
         if len(ns) != 1:

@@ -7,8 +7,6 @@ per-vertex closed-neighborhood bitmasks are computed once and shared, so all
 predicates are pure and safe to evaluate concurrently.  One scatter loop,
 `_closed_bits`, builds the closed masks from any edge list: an instance's own
 edges here, or edges unranked straight from the sampler's ranks in `model`.
-`replace_edges` patches the parent's masks on the vertices of the edges it
-moves instead of rebuilding them.
 
 A vertex counts as dominated by a set S if it belongs to S or shares a
 hyperedge with a member of S.  The equivalent hitting-set view: v is dominated
@@ -48,34 +46,25 @@ class Hypergraph:
         if canonical and d > n:
             raise ValueError(f"arity {d} exceeds vertex count {n} on a non-edgeless graph")
         canonical.sort()
-        self._init(n, d, canonical, seen)
+        self._init(n, d, canonical)
 
-    def _init(self, n: int, d: int, edges: list[Edge], edge_set: set[Edge],
-              nb_masks: Optional[Sequence[int]] = None,
-              edge_masks: Optional[Sequence[int]] = None) -> None:
+    def _init(self, n: int, d: int, edges: list[Edge]) -> None:
         self.n = n
         self.d = d
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._edge_set = edge_set
-        self._nb_masks = None if nb_masks is None else tuple(nb_masks)
-        self._edge_masks = None if edge_masks is None else tuple(edge_masks)
+        self._nb_masks: Optional[tuple[int, ...]] = None
+        self._edge_masks: Optional[tuple[int, ...]] = None
 
     @classmethod
-    def _trusted(cls, n: int, d: int, edges: list[Edge],
-                 nb_masks: Optional[Sequence[int]] = None) -> "Hypergraph":
+    def _trusted(cls, n: int, d: int, edges: list[Edge]) -> "Hypergraph":
         """An instance on edges already canonical: distinct ascending d-tuples
         within [0, n), in lexicographic order, as unranking distinct ranks
-        gives them.  Skips validation; `nb_masks` are its closed masks, when
-        the caller has built them."""
+        gives them.  Skips validation."""
         g = cls.__new__(cls)
-        g._init(n, d, edges, set(edges), nb_masks)
+        g._init(n, d, edges)
         return g
 
     # -- derived structure (lazy, cached) ------------------------------------
-
-    @property
-    def edge_set(self) -> set[Edge]:
-        return self._edge_set
 
     @property
     def full_mask(self) -> int:
@@ -100,43 +89,20 @@ class Hypergraph:
         return sum(m >> u & 1 for m in self.edge_masks)
 
     def replace_edges(self, removed: Iterable[Edge], added: Iterable[Edge]) -> "Hypergraph":
-        """New instance with `removed` deleted and `added` inserted.
-
-        The edge masks follow the edges; when this instance's closed masks are
-        built, the new instance's are patched from them: only the vertices of
-        the moved edges are recomputed, from the edges that hold them."""
-        edges, masks, edge_set = list(self.edges), list(self.edge_masks), set(self._edge_set)
-        moved = 0
+        """New instance with `removed` deleted and `added` inserted."""
+        edges = list(self.edges)
         for e in removed:
-            if e not in edge_set:
-                raise ValueError(f"cannot remove absent edge {e}")
-            edge_set.remove(e)
             i = bisect_left(edges, e)
-            moved |= masks.pop(i)
+            if i == len(edges) or edges[i] != e:
+                raise ValueError(f"cannot remove absent edge {e}")
             del edges[i]
         for raw in added:
             e = _canonical_edge(raw, self.n, self.d)
-            if e in edge_set:
-                raise ValueError(f"cannot add duplicate edge {e}")
-            edge_set.add(e)
             i = bisect_left(edges, e)
-            m = _set_mask(e)
-            moved |= m
+            if i < len(edges) and edges[i] == e:
+                raise ValueError(f"cannot add duplicate edge {e}")
             edges.insert(i, e)
-            masks.insert(i, m)
-        nb = None
-        if self._nb_masks is not None:
-            bits = _vertex_bits(self.n)
-            nb = list(self._nb_masks)
-            for v in _vertices(moved):
-                nb[v] = bits[v]
-            for m in masks:
-                if m & moved:
-                    for v in _vertices(m & moved):
-                        nb[v] |= m
-        g = Hypergraph.__new__(Hypergraph)
-        g._init(self.n, self.d, edges, edge_set, nb, masks)
-        return g
+        return Hypergraph._trusted(self.n, self.d, edges)
 
     def _check_vertex(self, u: int) -> None:
         if not 0 <= u < self.n:

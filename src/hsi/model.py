@@ -244,11 +244,10 @@ def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
     return _edge_bits(n, _unranked(n, d, ranks))
 
 
-def _instance(n: int, d: int, edges: Iterable[list[int]],
-              nb_masks: Optional[Sequence[int]] = None) -> Hypergraph:
+def _instance(n: int, d: int, edges: Iterable[list[int]]) -> Hypergraph:
     """The `Hypergraph` on these `_unranked` edges; unranking distinct ranks
     gives distinct edges, so only their order is left to fix."""
-    return Hypergraph._trusted(n, d, sorted(tuple(reversed(e)) for e in edges), nb_masks)
+    return Hypergraph._trusted(n, d, sorted(tuple(reversed(e)) for e in edges))
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:

@@ -59,8 +59,7 @@ closed-neighborhood bitmasks.  The public functions pass a `Hypergraph`'s
 `neighborhood_masks`, checking k and the budget first so that a refusal
 builds no masks; the Monte-Carlo kernels and the pair builder's attempts
 pass masks built straight from the sampled edge ranks, without a
-`Hypergraph`, and the pair builder's swapped instance passes masks patched
-from the original's.
+`Hypergraph`.
 """
 
 from __future__ import annotations
@@ -91,6 +90,9 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"enumeration needs {required} subsets, budget is {budget}")
         self.required = required
         self.budget = budget
+
+    def __reduce__(self):  # so a forked share can send it to the parent
+        return type(self), (self.required, self.budget)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ in at least one and in at least two of them.  Of the edges that avoid the
 region, a usable one holds exactly one member of S and gives forward its
 pivots (in `once & ~twice`, outside S) and partners; an inner one holds two or
 more and gives backward its pairs u, u' of S.  The swapped instance comes from
-`Hypergraph.replace_edges`, which patches the closed masks on the moved
-vertices when the original has them.
+`Hypergraph.replace_edges`.
 
 A candidate is admitted when the role lists hold it and both of its
 replacement edges are new; the lists hold every other rule (`_first_swap`).
@@ -58,6 +57,9 @@ class SwapNotFound(RuntimeError):
         super().__init__(message)
         self.reason = reason
 
+    def __reduce__(self):  # so a forked share can send it to the parent
+        return type(self), (str(self), self.reason)
+
 
 class RetriesExhausted(RuntimeError):
     def __init__(self, attempts: int, non_unique: int, swap_failures: int,
@@ -69,6 +71,10 @@ class RetriesExhausted(RuntimeError):
         self.non_unique = non_unique
         self.swap_failures = swap_failures
         self.failure_reasons = failure_reasons or {}
+
+    def __reduce__(self):  # so a forked share can send it to the parent
+        return type(self), (self.attempts, self.non_unique, self.swap_failures,
+                            self.failure_reasons)
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,10 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
     way the removed edges differ, and each replacement edge has d distinct
     vertices and only one of them holds v."""
     forward = direction == "forward"
+    present = set(g.edges)
     for roles in candidates:
         removed, added = _rewire(roles, forward)
-        clash = next((e for e in added if e in g.edge_set), None)
+        clash = next((e for e in added if e in present), None)
         if clash is None:
             g2 = g.replace_edges(removed=removed, added=added)
             dominated = _dominated(g2.edge_masks, _set_mask(vs))
@@ -296,10 +303,8 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
 
     Each attempt is counted on the closed masks built from its unranked
     edges; only the attempt with a unique set is built as a `Hypergraph`,
-    from the same edges and keeping those masks, and swapped.  The swapped
-    instance's masks are patched from them, so neither instance rebuilds its
-    masks for its count.  Failed swaps are tallied by `SwapNotFound.reason`
-    in `failure_reasons`.
+    from the same edges, and swapped.  Failed swaps are tallied by
+    `SwapNotFound.reason` in `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
@@ -320,7 +325,7 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
         if not report_yes.unique:
             non_unique += 1
             continue
-        g = _instance(n, d, edges, masks)
+        g = _instance(n, d, edges)
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region)

@@ -279,7 +279,7 @@ class TestPairCli:
         record = json.load(open(prefix + "_record.json"))
         assert g_yes.n == g_no.n == 30
         assert record["yes_count"] == 1
-        assert {tuple(e) for e in record["swap"]["removed"]}.issubset(g_yes.edge_set)
+        assert {tuple(e) for e in record["swap"]["removed"]}.issubset(g_yes.edges)
 
 
     @pytest.mark.parametrize("vh_size", ["-4", "27", "1000"])
@@ -315,6 +315,12 @@ class TestExperimentCli:
         assert code == 0
         assert "ratio-trend-excess-non-increasing" in out
         assert open(path).read() in out or open(path).read() == out
+
+    def test_trend_refuses_p(self, capsys):
+        code, out, err = run(capsys, "experiment", "--kind", "trend", "--n", "50,100",
+                             "--d", "3", "--k", "3", "--p", "0.01")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--p" in err
 
     def test_ex_kind_writes_csv(self, tmp_path, capsys):
         path = str(tmp_path / "ex.csv")

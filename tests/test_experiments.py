@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 from functools import partial
 
 import pytest
@@ -28,9 +29,11 @@ from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.moments import expected_count, quasi_expected, second_moment, solvability_bounds
 from hsi.rng import STREAM_TRIALS, indexed_seed
 from hsi.solvers import (
+    BudgetExceeded,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
 )
+from hsi.swaps import RetriesExhausted, SwapNotFound
 from oracles import (
     count_dominating_plain,
     count_quasi_plain,
@@ -323,6 +326,29 @@ class TestDeterminismAndWorkers:
 
         with pytest.raises(type(error), match=f"^{error}$"):
             _run_trials(kernel, 7, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [
+        BudgetExceeded(5, 1),
+        SwapNotFound("no pivot vertex outside the protected region", "no-pivot"),
+        RetriesExhausted(3, 1, 2, {"no-partner": 2}),
+    ], ids=["budget", "swap", "retries"])
+    def test_errors_survive_pickle(self, error):
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert str(back) == str(error)
+        assert vars(back) == vars(error)
+
+    def test_budget_refusal_in_a_child_share(self):
+        def kernel(t):
+            if t == 3:
+                raise BudgetExceeded(5, 1)
+            return _trial_solvable(D2, t)
+
+        with pytest.raises(BudgetExceeded) as info:
+            _run_trials(kernel, 4, 2)
+        assert (info.value.required, info.value.budget) == (5, 1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

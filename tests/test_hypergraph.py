@@ -47,6 +47,8 @@ class TestConstruction:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Hypergraph(5, 3, [(0, 1, 2), (2, 1, 0)])
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1, 2\)$"):
+            Hypergraph(5, 3, [(0, 1, 2), (2, 3, 4), (2, 1, 0)])
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -72,6 +74,8 @@ class TestConstruction:
             G52.replace_edges(removed=[(0, 1, 3)], added=[])
         with pytest.raises(ValueError):
             G52.replace_edges(removed=[], added=[(2, 3, 4)])
+        with pytest.raises(ValueError, match=r"^cannot add duplicate edge \(2, 3, 4\)$"):
+            G52.replace_edges(removed=[], added=[(4, 3, 2)])
 
     @given(hypergraphs(), st.data())
     def test_replace_edges_patches_masks(self, g, data):
@@ -79,7 +83,7 @@ class TestConstruction:
         pot = list(itertools.combinations(range(g.n), g.d))
         removed = data.draw(st.lists(st.sampled_from(g.edges), unique=True, max_size=2)
                             if g.edges else st.just([]))
-        absent = [e for e in pot if e not in g.edge_set]
+        absent = [e for e in pot if e not in set(g.edges)]
         added = data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=2)
                           if absent else st.just([]))
         g.neighborhood_masks

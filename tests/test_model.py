@@ -172,7 +172,7 @@ class TestSampling:
         params = ModelParams(n=5, d=2, k=2, p=0.3, seed=0)
         trials = 100_000
         target = (1, 3)
-        hits = sum(target in sample_hypergraph(params.with_seed(t)).edge_set
+        hits = sum(target in sample_hypergraph(params.with_seed(t)).edges
                    for t in range(trials))
         se = math.sqrt(0.3 * 0.7 / trials)
         assert abs(hits / trials - 0.3) <= 3 * se

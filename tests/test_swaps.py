@@ -131,7 +131,7 @@ class TestForwardSwap:
         # adding (1,3,4) must be refused when it already exists; next candidate wins
         g = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6), (1, 3, 4)])
         g2, rec = forward_swap(g, (0, 1, 4))
-        assert set(rec.added).isdisjoint(g.edge_set)
+        assert set(rec.added).isdisjoint(g.edges)
         assert rec.removed[0] != rec.removed[1]
         assert degrees(g2) == degrees(g)
 
