@@ -52,8 +52,8 @@ class Hypergraph:
         self.n = n
         self.d = d
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._nb_masks: Optional[tuple[int, ...]] = None
-        self._edge_masks: Optional[tuple[int, ...]] = None
+        self._nb_masks = None
+        self._edge_masks = None
 
     @classmethod
     def _trusted(cls, n: int, d: int, edges: list[Edge]) -> "Hypergraph":

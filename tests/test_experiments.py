@@ -317,15 +317,17 @@ class TestDeterminismAndWorkers:
         (range(2, 4), ValueError("boom")),  # the second share, with the third one still open
         (range(0, 1), ValueError("boom")),  # the parent's own share
         (range(0, 1), KeyboardInterrupt()),
-    ], ids=["last-child", "first-child", "parent", "parent-interrupt"])
+        (range(3, 4), BudgetExceeded(5, 1)),  # the second share, sent back with its fields
+    ], ids=["last-child", "first-child", "parent", "parent-interrupt", "budget-in-a-child"])
     def test_error_in_a_share_is_raised_and_every_child_reaped(self, bad, error):
         def kernel(t):  # a closure does not pickle: the forks inherit it
             if t in bad:
                 raise error
             return _trial_solvable(D2, t)
 
-        with pytest.raises(type(error), match=f"^{error}$"):
+        with pytest.raises(type(error), match=f"^{error}$") as info:
             _run_trials(kernel, 7, 3)
+        assert vars(info.value) == vars(error)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -339,18 +341,6 @@ class TestDeterminismAndWorkers:
         assert type(back) is type(error)
         assert str(back) == str(error)
         assert vars(back) == vars(error)
-
-    def test_budget_refusal_in_a_child_share(self):
-        def kernel(t):
-            if t == 3:
-                raise BudgetExceeded(5, 1)
-            return _trial_solvable(D2, t)
-
-        with pytest.raises(BudgetExceeded) as info:
-            _run_trials(kernel, 4, 2)
-        assert (info.value.required, info.value.budget) == (5, 1)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("action, status", [
         (lambda: os._exit(3), 3),
