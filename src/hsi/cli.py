@@ -64,12 +64,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _params(args, n: int) -> ModelParams:
-    """k defaults to choose_k(n); p is --p, or calibrated to --delta (0.5 if unset)."""
+    """k defaults to choose_k(n); p is --p, or calibrated to --delta (0.5 if
+    unset); the seed is --seed, 0 if unset."""
     k = args.k if args.k is not None else choose_k(n)
     delta = args.delta if args.delta is not None else 0.5
+    seed = args.seed if args.seed is not None else 0
     if args.p is not None:
-        return ModelParams(n=n, d=args.d, k=k, p=args.p, delta=delta, seed=args.seed)
-    return ModelParams.calibrated(n=n, d=args.d, k=k, delta=delta, seed=args.seed)
+        return ModelParams(n=n, d=args.d, k=k, p=args.p, delta=delta, seed=seed)
+    return ModelParams.calibrated(n=n, d=args.d, k=k, delta=delta, seed=seed)
 
 
 def _cmd_gen(args) -> int:
@@ -173,24 +175,36 @@ def _cmd_experiment(args) -> int:
     workers = args.workers
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
+    # an option the kind would not read is refused rather than ignored
+    if args.kind != "pair-corr":
+        for opt, value in (("--i", args.i), ("--regime", args.regime)):
+            if value is not None:
+                raise ValueError(
+                    f"{opt} belongs to --kind pair-corr; --kind {args.kind} takes no {opt}")
     if args.kind == "trend":
         if args.p is not None:
             raise ValueError("--kind trend calibrates p to --delta at each n, so it takes no --p")
+        for opt, value in (("--trials", args.trials), ("--seed", args.seed),
+                           ("--workers", workers)):
+            if value is not None:
+                raise ValueError(
+                    f"--kind trend computes its ratios without trials, so it takes no {opt}")
         records = ratio_trend([_params(args, n) for n in ns])
     else:
         if len(ns) != 1:
             raise ValueError(f"--kind {args.kind} takes a single n")
         params = _params(args, ns[0])
+        trials = args.trials if args.trials is not None else 1000
         if args.kind == "ex":
-            records = [mc_expected_count(params, args.trials, workers=workers)]
+            records = [mc_expected_count(params, trials, workers=workers)]
         elif args.kind == "solvable":
-            records = list(mc_solvable_and_unique(params, args.trials, workers=workers))
+            records = list(mc_solvable_and_unique(params, trials, workers=workers))
         elif args.kind == "pair-corr":
             regime = "vertex-cover" if args.regime == "vc" else "dominating-set"
-            records = [mc_pair_correlation(params, args.i, args.trials,
+            records = [mc_pair_correlation(params, args.i if args.i is not None else 0, trials,
                                            regime=regime, workers=workers)]
         else:
-            records = list(mc_quasi_frequency(params, args.trials, workers=workers))
+            records = list(mc_quasi_frequency(params, trials, workers=workers))
     if args.csv:
         write_csv(records, args.csv)
     sys.stdout.write(records_to_csv(records))
@@ -266,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--k", type=int)
     pe.add_argument("--delta", type=float)
     pe.add_argument("--p", type=float)
-    pe.add_argument("--trials", type=int, default=1000)
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--trials", type=int, help="default 1000; not for --kind trend")
+    pe.add_argument("--seed", type=int, help="default 0; not for --kind trend")
     pe.add_argument("--csv")
-    pe.add_argument("--i", type=int, default=0, help="overlap for --kind pair-corr")
-    pe.add_argument("--regime", choices=("ds", "vc"), default="ds")
-    pe.add_argument("--workers", type=int)
+    pe.add_argument("--i", type=int, help="overlap for --kind pair-corr (default 0)")
+    pe.add_argument("--regime", choices=("ds", "vc"), help="for --kind pair-corr (default ds)")
+    pe.add_argument("--workers", type=int, help="not for --kind trend")
     pe.set_defaults(fn=_cmd_experiment)
     return parser
 

@@ -6,11 +6,16 @@ is a small integer tuple and aggregation is plain integer addition, which
 makes results bit-identical no matter how trials are split across workers.
 Worker count comes from the call site or the HSI_THREADS environment variable.
 A trial kernel is a function of the trial index alone; an estimator binds its
-parameters with `functools.partial`.  A pooled call splits its trials into at
-most that many contiguous shares; the calling process runs the first share and
-forks one child per other share, which inherits the kernel, so a call never
-starts more processes than it has shares, and more than one worker needs
-`os.fork`.
+parameters with `functools.partial`.  A call with w workers forks
+min(w, trials) - 1 children, which inherit the kernel, so it never starts more
+processes than it has trials, and more than one worker needs `os.fork`.
+Before forking, it writes one 4-byte token per chunk of trials (at most
+`_MAX_TOKENS` chunks, one trial each up to that many trials) into a pipe and
+takes chunk 0 itself, so trial 0 runs in the calling process; the caller and
+its children then claim the other chunks until the pipe is empty, so a slower
+process runs fewer.  Which process runs which of those trials is unspecified;
+each process sends back its trial count with its sums, and a call whose counts
+do not add up to `trials` raises `ChildProcessError`.
 A trial kernel never builds a `Hypergraph`: it draws its instance's edge ranks
 and counts on bitmasks built straight from them, the instance
 `sample_hypergraph` would give for the trial's seed.
@@ -27,7 +32,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraph import _dominated
 from .model import (
@@ -131,17 +136,13 @@ def _trial_quasi(params: ModelParams, t: int):
 
 
 def _sum_rows(rows: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Column sums of one or more integer rows."""
+    """Column sums of integer rows; () when there are none."""
     rows = iter(rows)
-    total = list(next(rows))
+    total = list(next(rows, ()))
     for row in rows:
         for j, x in enumerate(row):
             total[j] += x
     return tuple(total)
-
-
-def _sum_range(trial: Callable[[int], Sequence[int]], lo: int, hi: int) -> tuple[int, ...]:
-    return _sum_rows(map(trial, range(lo, hi)))
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
@@ -160,9 +161,30 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _fork_share(trial: Callable[[int], Sequence[int]], lo: int, hi: int):
-    """Fork a child that pickles the sum of trials [lo, hi), or the exception
-    it raised, into a pipe; return the child's pid and the pipe's read end."""
+# Most chunk tokens in a pooled call's pipe.  At 4 bytes each they fill at
+# most 4 KiB, which a pipe holds even at its one-page minimum, so the single
+# write before the forks never blocks.
+_MAX_TOKENS = 1024
+
+
+def _claimed_rows(trial: Callable[[int], Sequence[int]], tokens: int, size: int,
+                  trials: int, token: bytes) -> Iterator[tuple[int, ...]]:
+    """(1, *trial(t)) for each trial t of chunk `token`, then of each chunk
+    this process claims from the token pipe `tokens`, until it is empty.
+    Chunk c holds the trials [c * size, (c + 1) * size) below `trials`; the
+    leading 1 counts the trials run."""
+    while token:
+        lo = int.from_bytes(token, "little") * size
+        for row in map(trial, range(lo, min(lo + size, trials))):
+            yield (1, *row)
+        token = os.read(tokens, 4)
+
+
+def _fork_claimer(trial: Callable[[int], Sequence[int]], tokens: int, size: int, trials: int):
+    """Fork a child that claims chunks from the token pipe `tokens` and
+    pickles the column sums of its `_claimed_rows`, () if it claimed none, or
+    the exception it raised, into a result pipe; return the child's pid and
+    the result pipe's read end."""
     import pickle
     r, w = os.pipe()
     try:
@@ -176,7 +198,8 @@ def _fork_share(trial: Callable[[int], Sequence[int]], lo: int, hi: int):
         try:
             os.close(r)
             try:
-                payload = _sum_range(trial, lo, hi)
+                payload = _sum_rows(_claimed_rows(trial, tokens, size, trials,
+                                                   os.read(tokens, 4)))
             except Exception as exc:
                 payload = exc
             with open(w, "wb") as fh:
@@ -190,25 +213,34 @@ def _fork_share(trial: Callable[[int], Sequence[int]], lo: int, hi: int):
 
 def _run_trials(trial: Callable[[int], Sequence[int]], trials: int,
                 workers: Optional[int]) -> tuple[int, ...]:
-    """Sum trial(t) over t in [0, trials), split into contiguous shares."""
+    """Sum trial(t) over t in [0, trials).
+
+    A pooled call writes one token per chunk of trials into a pipe; the
+    calling process and its children claim chunks from it until it is empty,
+    so a slower process runs fewer trials."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    shares = min(_resolve_workers(workers), trials)
-    cuts = [trials * s // shares for s in range(shares + 1)]
-    if shares > 1:
-        import pickle  # only pooled calls pay the imports
-        import signal
-    children = {}  # share -> (pid, read end), until the child is reaped
+    procs = min(_resolve_workers(workers), trials)
+    if procs == 1:
+        return _sum_rows(map(trial, range(trials)))
+    import pickle  # only pooled calls pay the imports
+    import signal
+    size = -(-trials // _MAX_TOKENS)  # trials per chunk
+    tokens, w = os.pipe()
+    children = []  # (pid, read end), until the child is reaped
     try:
-        for s in range(1, shares):
-            children[s] = _fork_share(trial, cuts[s], cuts[s + 1])
-        parts = [_sum_range(trial, 0, cuts[1])]
-        for s in range(1, shares):
-            pid, fh = children[s]
+        with open(w, "wb") as fh:  # closed, so a claimer reads EOF once the tokens run out
+            fh.write(b"".join(c.to_bytes(4, "little") for c in range(-(-trials // size))))
+        first = os.read(tokens, 4)  # chunk 0, with trial 0, runs in this process
+        for _ in range(procs - 1):
+            children.append(_fork_claimer(trial, tokens, size, trials))
+        parts = [_sum_rows(_claimed_rows(trial, tokens, size, trials, first))]
+        while children:
+            pid, fh = children[0]
             with fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
-            del children[s]
+            del children[0]
             try:
                 part = pickle.loads(data)
             except Exception:  # a truncated or empty payload
@@ -217,12 +249,16 @@ def _run_trials(trial: Callable[[int], Sequence[int]], trials: int,
                 raise part
             if not isinstance(part, tuple):
                 raise ChildProcessError(
-                    f"trial share {s} (trials {cuts[s]}..{cuts[s + 1] - 1}) gave no result; "
+                    f"child process {pid} gave no result; "
                     f"exit status {os.waitstatus_to_exitcode(status)}")
             parts.append(part)
-        return _sum_rows(parts)
-    finally:  # on an error here or in a child, the shares still running are dropped
-        for pid, fh in children.values():
+        ran, *total = _sum_rows(parts)
+        if ran != trials:
+            raise ChildProcessError(f"the pooled processes ran {ran} of {trials} trials")
+        return tuple(total)
+    finally:  # on an error here or in a child, the children still running are dropped
+        os.close(tokens)
+        for pid, fh in children:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -4,9 +4,9 @@ Vertices are dense integers 0..n-1.  Edges are stored as strictly ascending
 tuples, sorted lexicographically, with set semantics (duplicates rejected).
 Instances are immutable after construction; the edge bitmasks and the
 per-vertex closed-neighborhood bitmasks are computed once and shared, so all
-predicates are pure and safe to evaluate concurrently.  One scatter loop,
-`_closed_bits`, builds the closed masks from any edge list: an instance's own
-edges here, or edges unranked straight from the sampler's ranks in `model`.
+predicates are pure and safe to evaluate concurrently.  `_closed_bits`
+scatters an instance's own edges into its closed masks; `model._closed_masks`
+builds the same masks straight from the sampler's edge ranks.
 
 A vertex counts as dominated by a set S if it belongs to S or shares a
 hyperedge with a member of S.  The equivalent hitting-set view: v is dominated

@@ -14,9 +14,11 @@ each rank's colex digits: one bisection per digit above the lowest two, and
 those two in closed form (c_2 from an integer square root, then c_1), so no
 table grows with n.  `sample_hypergraph` sorts the unranked edges into a
 `Hypergraph` (`_instance`); the Monte-Carlo kernels and the pair builder's
-attempts build bitmasks straight from the same edges instead (`_closed_masks`,
-`_edge_masks`, through the scatter loop `Hypergraph` uses), so they see the
-same instance without constructing one.
+attempts build bitmasks straight from the ranks instead, so they see the same
+instance without constructing one.  `_closed_masks` reads each rank's digits
+as `_unranked` does and ORs the edge into the masks of its vertices at once,
+with no edge list; `_edge_masks` scatters `_unranked` edges through the loop
+`Hypergraph.edge_masks` uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph, _closed_bits, _edge_bits
+from .hypergraph import Hypergraph, _edge_bits, _vertex_bits
 from .rng import STREAM_EDGES, SplitMix64, derive_seed
 
 _RANK_LIMIT = 1 << 63  # edge ranks are kept within a 64-bit signed range
@@ -235,8 +237,28 @@ def _unranked(n: int, d: int, ranks: Iterable[int]) -> Iterator[list[int]]:
 
 def _closed_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
     """The closed-neighborhood bitmasks (`Hypergraph.neighborhood_masks`) of
-    the instance whose edges have these ranks."""
-    return _closed_bits(n, _unranked(n, d, ranks))
+    the instance whose edges have these ranks.  Each rank's digits are read
+    as in `_unranked`; the edge's mask then goes into the mask of each of its
+    vertices, so no edge is built."""
+    *upper, pairs = _binom_columns(n, d)
+    bits = _vertex_bits(n)
+    masks = list(bits)
+    for rank in ranks:
+        top = []  # the digits above the lowest two
+        for column in upper:
+            c = bisect_right(column, rank) - 1
+            top.append(c)
+            rank -= column[c]
+        c2 = math.isqrt(8 * rank + 1) + 1 >> 1
+        c1 = rank - pairs[c2]
+        m = bits[c2] | bits[c1]
+        for c in top:
+            m |= bits[c]
+        masks[c2] |= m
+        masks[c1] |= m
+        for c in top:
+            masks[c] |= m
+    return masks
 
 
 def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:

@@ -159,16 +159,19 @@ def _pair_space(n: int) -> tuple[int, int, tuple[int, ...]]:
 def _pair_table(n: int, masks: Sequence[int]) -> list[int]:
     """good[w]: the pairs {x < y}, as bit y*n + x, with x or y in S_w.
 
-    Row y of `adj` is S_y, and S is symmetric, so bit w of row y is set
-    exactly when y is in S_w: spreading that bit over the row gives the pairs
-    whose larger member is in S_w, and S_w in every row those whose smaller
-    member is."""
-    row = (1 << n) - 1
+    It is built from its complement within all n*n bits, the bits y*n + x
+    with neither x nor y in S_w.  Row y of `nadj` is the complement of S_y,
+    and S is symmetric, so bit w of row y is set exactly when y is not in
+    S_w; each such bit, times the complement of S_w, fills its row with the
+    x outside S_w."""
+    full = (1 << n) - 1
     rep = _pair_space(n)[1]
-    adj = 0
+    every = (1 << n * n) - 1
+    nadj = 0
     for m in reversed(masks):
-        adj = adj << n | m
-    return [((adj >> w) & rep) * row | masks[w] * rep for w in range(n)]
+        nadj = nadj << n | m
+    nadj ^= every
+    return [every ^ ((nadj >> w) & rep) * (full ^ m) for w, m in enumerate(masks)]
 
 
 def _pair_bits(pairs: int, n: int) -> Iterator[int]:

@@ -1,5 +1,6 @@
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -310,8 +311,7 @@ class TestExperimentCli:
     def test_trend_exit_0(self, tmp_path, capsys):
         path = str(tmp_path / "trend.csv")
         code, out, _ = run(capsys, "experiment", "--kind", "trend",
-                           "--n", "50,100", "--d", "3", "--delta", "0.5",
-                           "--seed", "0", "--csv", path)
+                           "--n", "50,100", "--d", "3", "--delta", "0.5", "--csv", path)
         assert code == 0
         assert "ratio-trend-excess-non-increasing" in out
         assert open(path).read() in out or open(path).read() == out
@@ -321,6 +321,25 @@ class TestExperimentCli:
                              "--d", "3", "--k", "3", "--p", "0.01")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "--p" in err
+
+    @pytest.mark.parametrize("kind, option, value", [
+        ("solvable", "--i", "7"),  # an overlap above k, which the kind would ignore
+        ("ex", "--i", "0"),  # the default value too
+        ("quasi", "--regime", "vc"),
+        ("trend", "--regime", "ds"),
+        ("trend", "--trials", "5"),
+        ("trend", "--seed", "0"),
+        ("trend", "--workers", "2"),
+    ])
+    def test_refuses_an_option_its_kind_ignores(self, tmp_path, capsys, kind, option, value):
+        sizes = (["--n", "50,100", "--d", "3", "--delta", "0.5"] if kind == "trend" else
+                 ["--n", "10", "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10"])
+        path = tmp_path / "out.csv"
+        code, out, err = run(capsys, "experiment", "--kind", kind, *sizes, option, value,
+                             "--csv", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and option in err
+        assert not path.exists()
 
     def test_ex_kind_writes_csv(self, tmp_path, capsys):
         path = str(tmp_path / "ex.csv")
@@ -358,7 +377,7 @@ class TestExperimentCli:
                              formula_value=1.0, verdict="outside")
         monkeypatch.setattr(cli, "ratio_trend", lambda params: [bad])
         code, out, _ = run(capsys, "experiment", "--kind", "trend", "--n", "50",
-                           "--d", "3", "--delta", "0.5", "--seed", "0")
+                           "--d", "3", "--delta", "0.5")
         assert code == 5
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -371,16 +390,25 @@ class TestExperimentCli:
 
     def test_error_in_a_forked_share_exit_1(self, capsys, monkeypatch):
         real = experiments._trial_solvable
+        caller = os.getpid()
+        r, w = os.pipe()
 
-        def kernel(params, t):
-            if t >= 8:  # the last trials, in the second share
+        def kernel(params, t):  # fails in the child only
+            if os.getpid() != caller:
+                os.write(w, b"1")
                 raise ValueError("boom")
+            if t == 0:  # the caller holds trial 0 until the child has claimed a trial
+                select.select([r], [], [], 60)
             return real(params, t)
 
         monkeypatch.setattr(experiments, "_trial_solvable", kernel)
-        code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
-                             "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
-                             "--seed", "5", "--workers", "2")
+        try:
+            code, out, err = run(capsys, "experiment", "--kind", "solvable", "--n", "10",
+                                 "--d", "2", "--k", "2", "--p", "0.25", "--trials", "10",
+                                 "--seed", "5", "--workers", "2")
+        finally:
+            os.close(r)
+            os.close(w)
         assert (code, out, err) == (1, "", "error: boom\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])

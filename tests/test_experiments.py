@@ -1,11 +1,14 @@
 import math
 import os
 import pickle
+import re
+import select
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsi import experiments
 from hsi.experiments import (
     DegenerateEstimate,
     EstimateRecord,
@@ -288,16 +291,47 @@ class TestDeterminismAndWorkers:
 
     @pytest.fixture
     def fork_calls(self, monkeypatch):
-        """One entry per `os.fork` call made while the test runs."""
+        """The pid of each child `os.fork` started while the test runs."""
         calls = []
         real_fork = os.fork
 
         def counting_fork():
-            calls.append(1)
-            return real_fork()
+            pid = real_fork()
+            if pid:
+                calls.append(pid)
+            return pid
 
         monkeypatch.setattr(os, "fork", counting_fork)
         return calls
+
+    @pytest.fixture
+    def pooled_kernel(self):
+        """`pooled_kernel(caller=..., child=...)`: a kernel for D2 trials that
+        first calls `caller()` at trial 0, which the calling process always
+        runs, and `child()` on each trial a forked child runs.  With `child`,
+        the caller holds trial 0 until a child has started a trial, so some
+        child always claims one.  Each action fires only in the process it
+        names, so an `os._exit` never ends the test process."""
+        caller_pid = os.getpid()
+        r, w = os.pipe()
+
+        def make(caller=None, child=None):
+            def kernel(t):
+                if os.getpid() != caller_pid:
+                    if child is not None:
+                        os.write(w, b"1")
+                        child()
+                elif t == 0:
+                    if caller is not None:
+                        caller()
+                    if child is not None:
+                        select.select([r], [], [], 60)  # a child has started a trial
+                return _trial_solvable(D2, t)  # a closure does not pickle: the forks inherit it
+            return kernel
+
+        yield make
+        os.close(r)
+        os.close(w)
 
     @pytest.mark.parametrize("workers, trials, forks", [(6, 2, 1), (3, 7, 2), (2, 1, 0), (1, 7, 0)])
     def test_one_fork_per_share_past_the_first(self, fork_calls, workers, trials, forks):
@@ -306,27 +340,30 @@ class TestDeterminismAndWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_synthetic_kernel_sums_and_forks(self, fork_calls, workers):
-        for trials in range(1, 10):
+        for trials in range(1, 41):  # each trial runs exactly once, in whichever process
             del fork_calls[:]
-            total = _run_trials(lambda t: (1, t, t * t), trials, workers)
-            assert total == (trials, sum(range(trials)), sum(t * t for t in range(trials)))
+            assert _run_trials(lambda t: (1, 1 << t), trials, workers) == \
+                (trials, (1 << trials) - 1)
             assert len(fork_calls) == min(workers, trials) - 1
 
-    @pytest.mark.parametrize("bad, error", [
-        (range(5, 7), ValueError("boom")),  # the last trials, in the third share
-        (range(2, 4), ValueError("boom")),  # the second share, with the third one still open
-        (range(0, 1), ValueError("boom")),  # the parent's own share
-        (range(0, 1), KeyboardInterrupt()),
-        (range(3, 4), BudgetExceeded(5, 1)),  # the second share, sent back with its fields
-    ], ids=["last-child", "first-child", "parent", "parent-interrupt", "budget-in-a-child"])
-    def test_error_in_a_share_is_raised_and_every_child_reaped(self, bad, error):
-        def kernel(t):  # a closure does not pickle: the forks inherit it
-            if t in bad:
-                raise error
-            return _trial_solvable(D2, t)
+    def test_chunked_tokens_run_each_trial_once(self, fork_calls):
+        trials = 2500  # past _MAX_TOKENS: 834 chunks of 3 trials, the last one of 1
+        assert _run_trials(lambda t: (1, 1 << t), trials, 3) == (trials, (1 << trials) - 1)
+        assert len(fork_calls) == 2
+
+    @pytest.mark.parametrize("where, error", [
+        ("caller", ValueError("boom")),
+        ("caller", KeyboardInterrupt()),
+        ("child", ValueError("boom")),
+        ("child", BudgetExceeded(5, 1)),  # sent back with its fields
+    ], ids=["caller", "caller-interrupt", "child", "budget-in-a-child"])
+    def test_error_in_a_process_is_raised_and_every_child_reaped(self, pooled_kernel,
+                                                                 where, error):
+        def fail():
+            raise error
 
         with pytest.raises(type(error), match=f"^{error}$") as info:
-            _run_trials(kernel, 7, 3)
+            _run_trials(pooled_kernel(**{where: fail}), 7, 3)
         assert vars(info.value) == vars(error)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -346,17 +383,27 @@ class TestDeterminismAndWorkers:
         (lambda: os._exit(3), 3),
         (_raise_unpicklable, 1),
     ], ids=["exit", "unpicklable"])
-    def test_child_without_a_result(self, action, status):
-        def kernel(t):
-            if t == 6:
-                action()
-            return _trial_solvable(D2, t)
-
-        message = rf"^trial share 2 \(trials 4\.\.6\) gave no result; exit status {status}$"
-        with pytest.raises(ChildProcessError, match=message):
-            _run_trials(kernel, 7, 3)
+    def test_child_without_a_result(self, fork_calls, pooled_kernel, action, status):
+        message = rf"^child process (\d+) gave no result; exit status {status}$"
+        with pytest.raises(ChildProcessError, match=message) as info:
+            _run_trials(pooled_kernel(child=action), 7, 3)
+        assert int(re.match(message, str(info.value)).group(1)) in fork_calls
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_trials_a_child_drops_are_refused(self, monkeypatch, pooled_kernel):
+        caller_pid = os.getpid()
+        claimed_rows = experiments._claimed_rows
+
+        def dropping(*args):
+            rows = claimed_rows(*args)
+            if os.getpid() != caller_pid:
+                next(rows, None)  # a child loses the first trial it claims
+            return rows
+
+        monkeypatch.setattr(experiments, "_claimed_rows", dropping)
+        with pytest.raises(ChildProcessError, match="^the pooled processes ran 6 of 7 trials$"):
+            _run_trials(pooled_kernel(child=lambda: None), 7, 2)
 
     def test_more_than_one_worker_needs_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")

@@ -3,12 +3,14 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hsi.hypergraph import Hypergraph, _closed_bits
 from hsi.model import (
     InstanceTooLarge,
     ModelParams,
     _closed_masks,
     _edge_masks,
     _edge_ranks,
+    _unranked,
     asymptotic_p,
     calibrate_p,
     choose_k,
@@ -241,3 +243,20 @@ class TestEdgeRanks:
         assert len(g.edges) == len(ranks)
         assert tuple(_closed_masks(params.n, params.d, ranks)) == g.neighborhood_masks
         assert sorted(_edge_masks(params.n, params.d, ranks)) == sorted(g.edge_masks)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_closed_masks_against_the_edge_scatter(self, d):
+        # the rank-digit scatter against the masks of the unranked edges, from
+        # an empty instance up to p past the switch to drawing excluded ranks
+        shapes = set()
+        for seed in range(200):
+            n = 8 + seed % 11
+            total = math.comb(n, d)
+            p = (0.0, 1 / total, 0.05, 0.3, 0.7, 0.95)[seed % 6]
+            ranks = _edge_ranks(ModelParams(n=n, d=d, k=1, p=p, seed=seed))
+            edges = list(_unranked(n, d, ranks))
+            masks = _closed_masks(n, d, ranks)
+            assert masks == _closed_bits(n, edges)
+            assert tuple(masks) == Hypergraph(n, d, edges).neighborhood_masks
+            shapes.add("empty" if not ranks else "excluded" if len(ranks) > total // 2 else "drawn")
+        assert shapes == {"empty", "drawn", "excluded"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.rng import SplitMix64
 from hsi.solvers import (
     BudgetExceeded,
+    _pair_space,
     _pair_table as pair_table,
     enumerate_dominating_sets,
     enumerate_quasi_dominating_sets,
@@ -231,7 +233,27 @@ def pair_pass_cases():
 
 class TestPairPass:
     """The pair pass (k >= 3, n <= PAIR_PASS_MAX_N) against the static-order
-    fallback on the same instance, and against the plain oracle when it is cheap."""
+    fallback on the same instance, and against the plain oracle when it is
+    cheap; its table against a plain-set construction."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 61])
+    def test_pair_table_against_plain_pairs(self, n):
+        # good[w] holds the pairs {x < y} with x or y in S_w; the bits with
+        # x >= y are outside the pair space and never read
+        rows = _pair_space(n)[0]
+        rng = random.Random(n)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            masks = [1 << v for v in range(n)]  # closed masks: symmetric, v in S_v
+            for x, y in itertools.combinations(range(n), 2):
+                if rng.random() < density:
+                    masks[x] |= 1 << y
+                    masks[y] |= 1 << x
+            good = pair_table(n, masks)
+            assert len(good) == n
+            for w, s_w in enumerate(masks):
+                plain = {y * n + x for x, y in itertools.combinations(range(n), 2)
+                         if (s_w >> x | s_w >> y) & 1}
+                assert good[w] & rows == sum(1 << b for b in plain)
 
     @pytest.mark.parametrize("quasi", [False, True], ids=["plain", "quasi"])
     def test_matches_fallback(self, monkeypatch, quasi):
