@@ -351,6 +351,28 @@ class TestDeterminismAndWorkers:
         assert _run_trials(lambda t: (1, 1 << t), trials, 3) == (trials, (1 << trials) - 1)
         assert len(fork_calls) == 2
 
+    def test_tokens_fit_a_one_page_pipe(self, monkeypatch):
+        # the token pipe shrunk to one page, its write end non-blocking: a
+        # write of more than 4 KiB of tokens raises instead of blocking
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("pipe capacity cannot be set on this platform")
+        real_pipe = os.pipe
+        made = []
+
+        def one_page_pipe():
+            r, w = real_pipe()
+            if not made:  # the token pipe comes before the children's result pipes
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+                os.set_blocking(w, False)
+            made.append(w)
+            return r, w
+
+        monkeypatch.setattr(os, "pipe", one_page_pipe)
+        for trials in (1024, 1025, 2047, 2048, 3073):
+            del made[:]
+            assert _run_trials(lambda t: (1, 1 << t), trials, 2) == (trials, (1 << trials) - 1)
+
     @pytest.mark.parametrize("where, error", [
         ("caller", ValueError("boom")),
         ("caller", KeyboardInterrupt()),
