@@ -1,4 +1,5 @@
-"""Golden digests: sampled instances, exact counts, `hsi pair` and `hsi swap` files.
+"""Golden digests: sampled instances, exact counts, `hsi pair`, `hsi swap`,
+`hsi experiment` and `hsi gen` outputs.
 
 Each test hashes the output of a fixed list of inputs and compares it with the
 sha256 recorded when the digest was introduced.  Any change to the sampler's
@@ -162,3 +163,38 @@ def test_seeded_swaps(tmp_path, capsys):
                         lines.append(repr((j, direction, s, vh, seed, code, err, files,
                                            _library_swap(g, s, direction, ProtectedRegion(vh), rng))))
     assert _sha(lines) == "5a3e42c733a7652ea201d3459ea8c7a5d7e56756655de359a4c69b00406ba854"
+
+
+# `hsi experiment` argument lists for the CLI digest: each kernel at d = 2-5,
+# p = 0.6 takes the excluded-rank branch, and n=60, d=3 is the benchmark setting
+EXPERIMENT_ARGS = [
+    "--kind solvable --n 20 --d 3 --k 3 --delta 0.5 --trials 300 --seed 1",
+    "--kind solvable --n 14 --d 4 --k 2 --delta 0.5 --trials 300 --seed 2",
+    "--kind solvable --n 12 --d 5 --k 2 --delta 0.5 --trials 300 --seed 8",
+    "--kind solvable --n 60 --d 3 --k 4 --delta 0.5 --trials 40 --seed 9",
+    "--kind ex --n 12 --d 2 --k 2 --p 0.3 --trials 2000 --seed 3",
+    "--kind pair-corr --n 12 --d 2 --k 2 --p 0.6 --i 1 --trials 2000 --seed 4",
+    "--kind pair-corr --n 12 --d 3 --k 3 --p 0.1 --i 0 --trials 2000 --seed 7",
+    "--kind pair-corr --n 10 --d 2 --k 5 --p 0.1 --i 2 --regime vc --trials 2000 --seed 5",
+    "--kind quasi --n 20 --d 3 --k 3 --delta 0.5 --trials 300 --seed 6",
+]
+
+
+def test_cli_experiments_and_gen(tmp_path, capsys, monkeypatch):
+    # exit code, stdout and CSV of `hsi experiment` at one and three workers,
+    # and the output and file of `hsi gen` at d = 2-5 from the empty to the
+    # complete instance; relative paths keep the printed output fixed
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for args in EXPERIMENT_ARGS:
+        for workers in ("1", "3"):
+            code = cli.main(["experiment", *args.split(), "--workers", workers,
+                             "--csv", "out.csv"])
+            lines.append(repr((args, workers, code, capsys.readouterr(),
+                               Path("out.csv").read_text())))
+    for d in (2, 3, 4, 5):
+        for p in ("0", "0.3", "1"):
+            code = cli.main(["gen", "--n", "9", "--d", str(d), "--p", p, "--seed", str(d),
+                             "--out", "g.json"])
+            lines.append(repr((d, p, code, capsys.readouterr(), Path("g.json").read_text())))
+    assert _sha(lines) == "26db32e35e1f2b93fc4bd91b74fa011a2ed9470587302fe8f3e159176b588507"
