@@ -9,7 +9,6 @@ from .hypergraph import (
     domination_status,
     dumps_instance,
     is_dominating_set,
-    is_quasi_dominating,
     loads_instance,
     read_instance,
     write_instance,

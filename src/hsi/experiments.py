@@ -16,9 +16,10 @@ its children then claim the other chunks until the pipe is empty, so a slower
 process runs fewer.  Which process runs which of those trials is unspecified;
 each process sends back its trial count with its sums, and a call whose counts
 do not add up to `trials` raises `ChildProcessError`.
-A trial kernel never builds a `Hypergraph`: it draws its instance's edge ranks
-and counts on bitmasks built straight from them, the instance
-`sample_hypergraph` would give for the trial's seed.
+A trial kernel never builds a `Hypergraph`: it draws its instance's edge
+ranks, reads their digit columns (`model._colex_digits`) and counts on the
+bitmasks `hypergraph._closed_bits` or `_edge_bits` builds from them, the
+masks of the instance `sample_hypergraph` would give for the trial's seed.
 
 Hard gates assert only exact facts: exactness at d=2, vertex-cover exactness,
 Markov consistency, and the analytic trend of the second-moment ratio.  The
@@ -34,14 +35,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .hypergraph import _dominated
-from .model import (
-    ModelParams,
-    _closed_masks,
-    _edge_masks,
-    _edge_ranks,
-    calibrate_p,
-)
+from .hypergraph import _closed_bits, _dominated, _edge_bits
+from .model import ModelParams, _colex_digits, _edge_ranks, calibrate_p
 from .moments import (
     ds_correlation_ratio,
     expected_count,
@@ -101,12 +96,14 @@ def _prop_se(hits: int, n: int) -> tuple[float, float]:
 # -- trial kernels ------------------------------------------------------------
 
 
-def _trial_ranks(params: ModelParams, t: int) -> Sequence[int]:
-    return _edge_ranks(params, indexed_seed(params.seed, STREAM_TRIALS, t))
+def _trial_digits(params: ModelParams, t: int) -> list[list[int]]:
+    """The digit columns of trial t's instance."""
+    ranks = _edge_ranks(params, indexed_seed(params.seed, STREAM_TRIALS, t))
+    return _colex_digits(params.n, params.d, ranks)
 
 
 def _trial_solvable(params: ModelParams, t: int):
-    masks = _closed_masks(params.n, params.d, _trial_ranks(params, t))
+    masks = _closed_bits(params.n, _trial_digits(params, t))
     c = _search(params.n, masks, params.k, 0, DEFAULT_BUDGET, None, quasi=False).count
     return (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
@@ -115,7 +112,7 @@ def _trial_pair(params: ModelParams, i: int, regime: str, t: int):
     k = params.k
     s1 = (1 << k) - 1  # vertices 0..k-1
     s2 = s1 << (k - i)  # vertices k-i..2k-i-1
-    edges = _edge_masks(params.n, params.d, _trial_ranks(params, t))
+    edges = _edge_bits(params.n, _trial_digits(params, t))
     if regime == "vertex-cover":
         y1 = all(m & s1 for m in edges)
         y2 = all(m & s2 for m in edges)
@@ -128,7 +125,7 @@ def _trial_pair(params: ModelParams, i: int, regime: str, t: int):
 
 def _trial_quasi(params: ModelParams, t: int):
     n, k = params.n, params.k
-    masks = _closed_masks(n, params.d, _trial_ranks(params, t))
+    masks = _closed_bits(n, _trial_digits(params, t))
     q = _search(n, masks, k, 0, DEFAULT_BUDGET, None, quasi=True).count
     has_dom = _search(n, masks, k, 0, DEFAULT_BUDGET, 1, quasi=False).count > 0
     nodom = 0 if has_dom else 1

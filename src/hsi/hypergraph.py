@@ -4,9 +4,11 @@ Vertices are dense integers 0..n-1.  Edges are stored as strictly ascending
 tuples, sorted lexicographically, with set semantics (duplicates rejected).
 Instances are immutable after construction; the edge bitmasks and the
 per-vertex closed-neighborhood bitmasks are computed once and shared, so all
-predicates are pure and safe to evaluate concurrently.  `_closed_bits`
-scatters an instance's own edges into its closed masks; `model._closed_masks`
-builds the same masks straight from the sampler's edge ranks.
+predicates are pure and safe to evaluate concurrently.  `_edge_bits` and
+`_closed_bits` are the one pair of mask builders.  They read an edge list as
+d vertex columns (column j holds vertex j of every edge): an instance passes
+`zip(*edges)`, and the sampler's trial kernels and pair builder pass the
+digit columns of `model._colex_digits`, so both see the same masks.
 
 A vertex counts as dominated by a set S if it belongs to S or shares a
 hyperedge with a member of S.  The equivalent hitting-set view: v is dominated
@@ -74,14 +76,14 @@ class Hypergraph:
     def neighborhood_masks(self) -> tuple[int, ...]:
         """Bit i of masks[v] set iff i is in the closed neighborhood of v."""
         if self._nb_masks is None:
-            self._nb_masks = tuple(_closed_bits(self.n, self.edges))
+            self._nb_masks = tuple(_closed_bits(self.n, list(zip(*self.edges))))
         return self._nb_masks
 
     @property
     def edge_masks(self) -> tuple[int, ...]:
         """Each edge's vertex bitmask, in the order of `edges`."""
         if self._edge_masks is None:
-            self._edge_masks = tuple(_edge_bits(self.n, self.edges))
+            self._edge_masks = tuple(_edge_bits(self.n, zip(*self.edges)))
         return self._edge_masks
 
     def degree(self, u: int) -> int:
@@ -135,28 +137,25 @@ def _vertex_bits(n: int) -> tuple[int, ...]:
     return tuple(1 << v for v in range(n))
 
 
-def _edge_bits(n: int, edges: Iterable[Iterable[int]]) -> list[int]:
-    """Each edge's vertex bitmask, in order."""
+def _edge_bits(n: int, cols: Iterable[Sequence[int]]) -> list[int]:
+    """Each edge's vertex bitmask, from the edges' vertex columns: the
+    columns ORed together, row by row."""
     bits = _vertex_bits(n)
-    out = []
-    for e in edges:
-        m = 0
-        for v in e:
-            m |= bits[v]
-        out.append(m)
-    return out
+    columns = iter(cols)
+    masks = [bits[v] for v in next(columns, ())]
+    for col in columns:
+        masks = [m | bits[v] for m, v in zip(masks, col)]
+    return masks
 
 
-def _closed_bits(n: int, edges: Iterable[Iterable[int]]) -> list[int]:
-    """The closed-neighborhood bitmasks of the instance on these edges: bit v,
-    and every edge that holds v, scattered into masks[v]."""
-    bits = _vertex_bits(n)
-    masks = list(bits)
-    for e in edges:
-        m = 0
-        for v in e:
-            m |= bits[v]
-        for v in e:
+def _closed_bits(n: int, cols: Sequence[Sequence[int]]) -> list[int]:
+    """The closed-neighborhood bitmasks of the instance whose edges have these
+    vertex columns: bit v, and the mask of every edge that holds v, scattered
+    into masks[v] through each column."""
+    masks = list(_vertex_bits(n))
+    edges = _edge_bits(n, cols)
+    for col in cols:
+        for v, m in zip(col, edges):
             masks[v] |= m
     return masks
 
@@ -225,14 +224,6 @@ def domination_status(g: Hypergraph, s: Iterable[int]) -> DominationStatus:
 
 def is_dominating_set(g: Hypergraph, s: Iterable[int]) -> bool:
     return _closed_union(g, s) == g.full_mask
-
-
-def is_quasi_dominating(g: Hypergraph, s: Iterable[int]) -> Optional[int]:
-    """The unique undominated vertex when exactly one exists, else None."""
-    missing = g.full_mask & ~_closed_union(g, s)
-    if missing and (missing & (missing - 1)) == 0:
-        return missing.bit_length() - 1
-    return None
 
 
 # -- canonical instance file ------------------------------------------------

@@ -9,16 +9,16 @@ that many distinct edge ranks uniformly, unranking each to a d-subset, which
 reproduces the product measure exactly.  Instances whose expected edge count
 C(n,d)*p passes `MAX_EDGES` are refused before anything is drawn.
 
-`_edge_ranks(params)` is the one owner of that edge stream.  `_unranked` reads
-each rank's colex digits: one bisection per digit above the lowest two, and
-those two in closed form (c_2 from an integer square root, then c_1), so no
-table grows with n.  `sample_hypergraph` sorts the unranked edges into a
-`Hypergraph` (`_instance`); the Monte-Carlo kernels and the pair builder's
-attempts build bitmasks straight from the ranks instead, so they see the same
-instance without constructing one.  `_closed_masks` reads each rank's digits
-as `_unranked` does and ORs the edge into the masks of its vertices at once,
-with no edge list; `_edge_masks` scatters `_unranked` edges through the loop
-`Hypergraph.edge_masks` uses.
+`_edge_ranks(params)` is the one owner of that edge stream, and
+`_colex_digits` the one reader of its ranks: it returns the d digit columns
+of all the ranks at once (vertex j of every edge in column j), bisecting each
+digit above the lowest two and taking those two in closed form (c_2 from an
+integer square root, then c_1), so no table grows with n.  The bitmask
+builders `hypergraph._edge_bits` and `_closed_bits` read those columns.
+`sample_hypergraph` sorts the rows of the columns into a `Hypergraph`
+(`_instance`); the Monte-Carlo kernels and the pair builder's attempts build
+bitmasks straight from the columns instead, so they see the same instance
+without constructing one.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .hypergraph import Hypergraph, _edge_bits, _vertex_bits
+from .hypergraph import Hypergraph
 from .rng import STREAM_EDGES, SplitMix64, derive_seed
 
 _RANK_LIMIT = 1 << 63  # edge ranks are kept within a 64-bit signed range
@@ -215,61 +215,31 @@ def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int
     return ranks
 
 
-def _unranked(n: int, d: int, ranks: Iterable[int]) -> Iterator[list[int]]:
-    """Each rank's d-subset, as colex digits c_d > ... > c_1: rank = sum_j C(c_j, j).
+def _colex_digits(n: int, d: int, ranks: Sequence[int]) -> list[list[int]]:
+    """The colex digits of each rank, as d columns c_1 < ... < c_d with
+    rank = sum_j C(c_j, j): column j holds vertex j of every edge, in the
+    order of `ranks`.
 
     The digits above the lowest two are bisected out of their binomial
     columns.  What is left, r = C(c_2, 2) + c_1 with c_1 < c_2, satisfies
     (2 c_2 - 1)^2 <= 8 r + 1 < (2 c_2 + 1)^2, so c_2 = (isqrt(8 r + 1) + 1) // 2
     exactly."""
     *upper, pairs = _binom_columns(n, d)
-    for rank in ranks:
-        edge = []
-        for column in upper:
-            c = bisect_right(column, rank) - 1
-            edge.append(c)
-            rank -= column[c]
-        c2 = math.isqrt(8 * rank + 1) + 1 >> 1
-        edge.append(c2)
-        edge.append(rank - pairs[c2])
-        yield edge
+    cols = []
+    for column in upper:
+        top = [bisect_right(column, r) - 1 for r in ranks]
+        ranks = [r - column[c] for r, c in zip(ranks, top)]
+        cols.append(top)
+    c2 = [math.isqrt(8 * r + 1) + 1 >> 1 for r in ranks]
+    cols += c2, [r - pairs[c] for r, c in zip(ranks, c2)]
+    cols.reverse()
+    return cols
 
 
-def _closed_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
-    """The closed-neighborhood bitmasks (`Hypergraph.neighborhood_masks`) of
-    the instance whose edges have these ranks.  Each rank's digits are read
-    as in `_unranked`; the edge's mask then goes into the mask of each of its
-    vertices, so no edge is built."""
-    *upper, pairs = _binom_columns(n, d)
-    bits = _vertex_bits(n)
-    masks = list(bits)
-    for rank in ranks:
-        top = []  # the digits above the lowest two
-        for column in upper:
-            c = bisect_right(column, rank) - 1
-            top.append(c)
-            rank -= column[c]
-        c2 = math.isqrt(8 * rank + 1) + 1 >> 1
-        c1 = rank - pairs[c2]
-        m = bits[c2] | bits[c1]
-        for c in top:
-            m |= bits[c]
-        masks[c2] |= m
-        masks[c1] |= m
-        for c in top:
-            masks[c] |= m
-    return masks
-
-
-def _edge_masks(n: int, d: int, ranks: Iterable[int]) -> list[int]:
-    """Each edge's vertex bitmask, for edges with these ranks."""
-    return _edge_bits(n, _unranked(n, d, ranks))
-
-
-def _instance(n: int, d: int, edges: Iterable[list[int]]) -> Hypergraph:
-    """The `Hypergraph` on these `_unranked` edges; unranking distinct ranks
-    gives distinct edges, so only their order is left to fix."""
-    return Hypergraph._trusted(n, d, sorted(tuple(reversed(e)) for e in edges))
+def _instance(n: int, d: int, ranks: Sequence[int]) -> Hypergraph:
+    """The `Hypergraph` whose edges have these ranks; distinct ranks give
+    distinct edges, so only their order is left to fix."""
+    return Hypergraph._trusted(n, d, sorted(zip(*_colex_digits(n, d, ranks))))
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
@@ -278,4 +248,4 @@ def sample_hypergraph(params: ModelParams) -> Hypergraph:
     Deterministic in params.seed; the edge stream is derived from the seed so
     other consumers of the same seed stay decoupled.
     """
-    return _instance(params.n, params.d, _unranked(params.n, params.d, _edge_ranks(params)))
+    return _instance(params.n, params.d, _edge_ranks(params))

@@ -34,12 +34,13 @@ from typing import Optional
 from .hypergraph import (
     Edge,
     Hypergraph,
+    _closed_bits,
     _dominated,
     _set_mask,
     _vertices,
     as_vertex_set,
 )
-from .model import ModelParams, _closed_masks, _edge_ranks, _instance, _unranked
+from .model import ModelParams, _colex_digits, _edge_ranks, _instance
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
 from .solvers import DEFAULT_BUDGET, SolveReport, _search, enumerate_dominating_sets
 
@@ -300,10 +301,11 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
                        retry_budget: int = 200) -> PairResult:
     """Sample until an instance has a unique dominating k-set, then flip it.
 
-    Each attempt is counted on the closed masks built straight from its edge
-    ranks (`_closed_masks`); only an attempt with a unique set has its ranks
-    unranked into edges, built as a `Hypergraph` and swapped.  Failed swaps
-    are tallied by `SwapNotFound.reason` in `failure_reasons`.
+    Each attempt is counted on the closed masks `_closed_bits` builds from
+    the digit columns of its edge ranks (`_colex_digits`); only an attempt
+    with a unique set has its ranks built into a `Hypergraph` (`_instance`)
+    and swapped.  Failed swaps are tallied by `SwapNotFound.reason` in
+    `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
@@ -318,12 +320,12 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     for attempt in range(retry_budget):
         ranks = _edge_ranks(params, indexed_seed(params.seed, STREAM_ATTEMPTS, attempt))
         # count_cap=2 finds at most two sets, so a witness cap of 2 keeps them all
-        report_yes = _search(n, _closed_masks(n, d, ranks), params.k, 2, DEFAULT_BUDGET, 2,
-                             quasi=False)
+        report_yes = _search(n, _closed_bits(n, _colex_digits(n, d, ranks)), params.k, 2,
+                             DEFAULT_BUDGET, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
-        g = _instance(n, d, _unranked(n, d, ranks))
+        g = _instance(n, d, ranks)
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region)

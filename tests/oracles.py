@@ -15,6 +15,26 @@ def potential_edges(n, d):
     return list(itertools.combinations(range(n), d))
 
 
+def colex_unrank_plain(d, rank):
+    """The d-subset whose colex rank is `rank`, ascending: for j = d down to 1,
+    the largest c_j with C(c_j, j) <= what is left of the rank."""
+    digits = []
+    for j in range(d, 0, -1):
+        c = j - 1
+        while math.comb(c + 1, j) <= rank:
+            c += 1
+        digits.append(c)
+        rank -= math.comb(c, j)
+    return tuple(reversed(digits))
+
+
+def closed_masks_plain(n, edges):
+    """Bitmask of each vertex's closed neighborhood S_v: v and every vertex
+    that shares an edge with it."""
+    return [sum(1 << u for u in {v}.union(*(e for e in edges if v in e)))
+            for v in range(n)]
+
+
 def undominated_plain(n, edges, s):
     sset = set(s)
     out = []

@@ -183,7 +183,7 @@ class TestMoments:
         code, _, _ = run(capsys, "moments", "--n", "10", "--d", "3", "--k", "2",
                          "--p", "0.1", "--quasi", "--csv", path)
         assert code == 0
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert lines[0].startswith("i,F,ds_ratio,Phi,W")
         assert len(lines) == 4  # header + i in 0..2
 
@@ -204,7 +204,7 @@ class TestSwapCli:
         assert code == 0
         swapped, _ = read_instance(out_prefix + "_swapped.json")
         assert swapped.edges == ((1, 3, 4), (2, 5, 6))
-        record = json.load(open(out_prefix + "_record.json"))
+        record = json.loads(Path(out_prefix + "_record.json").read_text())
         assert record["direction"] == "forward"
 
     def test_backward_on_quasi_instance(self, tmp_path, capsys):
@@ -277,7 +277,7 @@ class TestPairCli:
         assert code == 0
         g_yes, _ = read_instance(prefix + "_yes.json")
         g_no, _ = read_instance(prefix + "_no.json")
-        record = json.load(open(prefix + "_record.json"))
+        record = json.loads(Path(prefix + "_record.json").read_text())
         assert g_yes.n == g_no.n == 30
         assert record["yes_count"] == 1
         assert {tuple(e) for e in record["swap"]["removed"]}.issubset(g_yes.edges)
@@ -314,7 +314,7 @@ class TestExperimentCli:
                            "--n", "50,100", "--d", "3", "--delta", "0.5", "--csv", path)
         assert code == 0
         assert "ratio-trend-excess-non-increasing" in out
-        assert open(path).read() in out or open(path).read() == out
+        assert Path(path).read_text() in out
 
     def test_trend_refuses_p(self, capsys):
         code, out, err = run(capsys, "experiment", "--kind", "trend", "--n", "50,100",
@@ -347,7 +347,7 @@ class TestExperimentCli:
                            "--d", "2", "--k", "2", "--p", "0.3",
                            "--trials", "300", "--seed", "5", "--csv", path)
         assert code == 0
-        body = open(path).read()
+        body = Path(path).read_text()
         assert body.startswith("schema,name,estimate")
         assert "expected-count[n=10,d=2,k=2]" in body
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import hsi.cli as cli
 import hsi.solvers as solvers
-from hsi.hypergraph import Hypergraph, is_quasi_dominating, write_instance
+from hsi.hypergraph import Hypergraph, domination_status, write_instance
 from hsi.model import ModelParams, calibrate_p, sample_hypergraph
 from hsi.rng import STREAM_SWAP, SplitMix64, derive_seed
 from hsi.solvers import enumerate_dominating_sets, enumerate_quasi_dominating_sets
@@ -134,7 +134,9 @@ def _library_swap(g, s, direction, region, rng):
             assert g_back == g and rec_back.added == rec.removed
             outcome = (g2.edges, rec, rec_back)
         else:
-            g2, rec = backward_swap(g, s, is_quasi_dominating(g, s), region=region, rng=rng)
+            # a quasi witness leaves exactly one vertex undominated
+            miss = domination_status(g, s).undominated[0]
+            g2, rec = backward_swap(g, s, miss, region=region, rng=rng)
             outcome = (g2.edges, rec)
     except SwapNotFound as exc:
         outcome = str(exc)

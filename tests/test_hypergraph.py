@@ -10,7 +10,6 @@ from hsi.hypergraph import (
     domination_status,
     dumps_instance,
     is_dominating_set,
-    is_quasi_dominating,
     loads_instance,
     read_instance,
     write_instance,
@@ -133,9 +132,9 @@ class TestDomination:
 
     def test_quasi_examples(self):
         g = Hypergraph(4, 3, [(0, 1, 2)])
-        assert is_quasi_dominating(g, (0,)) == 3
-        assert is_quasi_dominating(g, (3,)) is None
-        assert is_quasi_dominating(g, (0, 1, 2, 3)) is None
+        assert domination_status(g, (0,)).undominated == (3,)
+        assert domination_status(g, (3,)).undominated == (0, 1, 2)
+        assert domination_status(g, (0, 1, 2, 3)).undominated == ()
 
 
 def hits_every_neighborhood(g, s):
@@ -186,13 +185,13 @@ class TestProperties:
 
     @given(hypergraph_and_set())
     def test_quasi_iff_single_undominated(self, gs):
+        # S is quasi-dominating when exactly one vertex u is left undominated,
+        # and then S + u dominates
         g, s = gs
-        miss = is_quasi_dominating(g, s)
         undominated = domination_status(g, s).undominated
+        assert (len(undominated) == 1) == (len(undominated_plain(g.n, g.edges, s)) == 1)
         if len(undominated) == 1:
-            assert miss == undominated[0]
-        else:
-            assert miss is None
+            assert is_dominating_set(g, (*s, *undominated))
 
     @given(hypergraphs())
     def test_serialization_round_trip(self, g):

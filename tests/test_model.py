@@ -3,14 +3,12 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hsi.hypergraph import Hypergraph, _closed_bits
+from hsi.hypergraph import Hypergraph, _closed_bits, _edge_bits
 from hsi.model import (
     InstanceTooLarge,
     ModelParams,
-    _closed_masks,
-    _edge_masks,
+    _colex_digits,
     _edge_ranks,
-    _unranked,
     asymptotic_p,
     calibrate_p,
     choose_k,
@@ -20,6 +18,8 @@ from hsi.model import (
 )
 from hsi.moments import expected_count, quasi_second_moment
 from hsi.rng import STREAM_EDGES, SplitMix64, derive_seed
+
+from oracles import closed_masks_plain, colex_unrank_plain
 
 
 class TestCounts:
@@ -241,22 +241,40 @@ class TestEdgeRanks:
         assert set(ranks) == _scalar_ranks(params)
         g = sample_hypergraph(params)
         assert len(g.edges) == len(ranks)
-        assert tuple(_closed_masks(params.n, params.d, ranks)) == g.neighborhood_masks
-        assert sorted(_edge_masks(params.n, params.d, ranks)) == sorted(g.edge_masks)
+        cols = _colex_digits(params.n, params.d, ranks)
+        assert tuple(_closed_bits(params.n, cols)) == g.neighborhood_masks
+        assert sorted(_edge_bits(params.n, cols)) == sorted(g.edge_masks)
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_closed_masks_against_the_edge_scatter(self, d):
-        # the rank-digit scatter against the masks of the unranked edges, from
-        # an empty instance up to p past the switch to drawing excluded ranks
+
+class TestColexDigits:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_digits_and_masks_against_plain_unranking(self, d):
+        # the digit columns against a greedy unranking of each rank, and the
+        # masks built from them against plain sets, from an empty instance up
+        # to p past the switch to drawing excluded ranks
         shapes = set()
-        for seed in range(200):
-            n = 8 + seed % 11
+        for seed in range(120):
+            n = d + seed % 11
             total = math.comb(n, d)
             p = (0.0, 1 / total, 0.05, 0.3, 0.7, 0.95)[seed % 6]
             ranks = _edge_ranks(ModelParams(n=n, d=d, k=1, p=p, seed=seed))
-            edges = list(_unranked(n, d, ranks))
-            masks = _closed_masks(n, d, ranks)
-            assert masks == _closed_bits(n, edges)
-            assert tuple(masks) == Hypergraph(n, d, edges).neighborhood_masks
+            cols = _colex_digits(n, d, ranks)
+            edges = [colex_unrank_plain(d, r) for r in ranks]
+            assert len(cols) == d and all(len(col) == len(ranks) for col in cols)
+            assert list(zip(*cols)) == edges
+            assert _edge_bits(n, cols) == [sum(1 << v for v in e) for e in edges]
+            assert _closed_bits(n, cols) == closed_masks_plain(n, edges)
             shapes.add("empty" if not ranks else "excluded" if len(ranks) > total // 2 else "drawn")
         assert shapes == {"empty", "drawn", "excluded"}
+
+    @pytest.mark.parametrize("n, d", [(0, 2), (1, 2), (4, 3), (3, 5)])
+    def test_edgeless_masks(self, n, d):
+        # an edgeless instance gives no columns through zip(*edges), even at
+        # d > n, and d empty ones from no ranks
+        g = Hypergraph(n, d)
+        assert g.edge_masks == ()
+        assert g.neighborhood_masks == tuple(closed_masks_plain(n, []))
+        cols = _colex_digits(n, d, [])
+        assert cols == [[]] * d
+        assert _edge_bits(n, cols) == []
+        assert _closed_bits(n, cols) == closed_masks_plain(n, [])
