@@ -1,5 +1,6 @@
 """Golden digests: sampled instances, exact counts, `hsi pair`, `hsi swap`,
-`hsi experiment` and `hsi gen` outputs.
+`hsi experiment`, `hsi gen`, `hsi solve`, `hsi moments` and `hsi calibrate`
+outputs, and the CLI's refusals.
 
 Each test hashes the output of a fixed list of inputs and compares it with the
 sha256 recorded when the digest was introduced.  Any change to the sampler's
@@ -9,6 +10,7 @@ change meant to be bit-identical must leave every digest as it is.
 
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import hsi.cli as cli
@@ -200,3 +202,89 @@ def test_cli_experiments_and_gen(tmp_path, capsys, monkeypatch):
                              "--out", "g.json"])
             lines.append(repr((d, p, code, capsys.readouterr(), Path("g.json").read_text())))
     assert _sha(lines) == "26db32e35e1f2b93fc4bd91b74fa011a2ed9470587302fe8f3e159176b588507"
+
+
+def _cli(argv, capsys, files=()) -> str:
+    """`cli.main(argv)`'s exit code, stdout, stderr and the listed files, with
+    `solve`'s wall time masked."""
+    code = cli.main(argv)
+    out = capsys.readouterr()
+    written = [Path(f).read_text() for f in files] if code == 0 else []
+    stdout = re.sub(r'"elapsed": [^,}]+', '"elapsed": 0', out.out)
+    return repr((argv, code, stdout, out.err, written))
+
+
+def test_cli_pairs(tmp_path, capsys, monkeypatch):
+    # `hsi pair` at the benchmark setting for seeds 1-20 and at n=30 for seeds
+    # 1-10, including the seeds whose swap leaves a dominating k-set (flip=no)
+    monkeypatch.chdir(tmp_path)
+    files = [f"p{suffix}" for suffix in ("_yes.json", "_no.json", "_record.json")]
+    lines = []
+    for n, k, vh, seeds in ((60, 4, 8, range(1, 21)), (30, 3, 5, range(1, 11))):
+        for seed in seeds:
+            argv = ["pair", "--n", str(n), "--d", "3", "--k", str(k), "--delta", "0.5",
+                    "--seed", str(seed), "--vh-size", str(vh), "--retries", "400",
+                    "--out-prefix", "p"]
+            lines.append(_cli(argv, capsys, files))
+    assert _sha(lines) == "5915b8203e16c60605a7d6b9b9295dae6d5c62692bb70236615437689819b74c"
+
+
+def test_cli_solve(tmp_path, capsys, monkeypatch):
+    # plain and quasi counts at k = 1 (the root's last picks), k = 2 (the
+    # static-order fallback) and k = 3 (the pair pass) on `hsi gen` outputs,
+    # then a budget refusal and a negative budget
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for j, gen in enumerate(["--n 30 --d 3 --k 3 --delta 0.5 --seed 5",
+                             "--n 30 --d 3 --k 3 --delta 0.5 --seed 8",
+                             "--n 12 --d 2 --k 2 --delta 0.5 --seed 3",
+                             "--n 20 --d 3 --p 0.08 --seed 2"]):
+        lines.append(_cli(["gen", *gen.split(), "--out", f"g{j}.json"], capsys,
+                          [f"g{j}.json"]))
+        for k in ("1", "2", "3"):
+            for quasi in ([], ["--quasi"]):
+                for witnesses in ("0", "3"):
+                    lines.append(_cli(["solve", "--in", f"g{j}.json", "--k", k, *quasi,
+                                       "--witnesses", witnesses], capsys))
+    for budget in ("10", "-5"):
+        lines.append(_cli(["solve", "--in", "g0.json", "--k", "3", "--budget", budget], capsys))
+    assert _sha(lines) == "74b2927825c8d38509e0b7fb604f088356ce314013e4f56babc3bd1573c376c2"
+
+
+def test_cli_moments_and_calibrate(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for n, d, k, p in ((60, 3, 4, "0.006711788865225252"), (1000, 2, 7, "0.3686913230775133")):
+        base = ["moments", "--n", str(n), "--d", str(d), "--k", str(k), "--p", p]
+        lines.append(_cli(base, capsys))
+        lines.append(_cli([*base, "--quasi"], capsys))
+        lines.append(_cli([*base, "--quasi", "--csv", "m.csv"], capsys, ["m.csv"]))
+    for n, d, k, delta in ((60, 3, 4, "0.5"), (500, 2, 6, "0.2")):
+        lines.append(_cli(["calibrate", "--n", str(n), "--d", str(d), "--k", str(k),
+                           "--delta", delta], capsys))
+    assert _sha(lines) == "eb83f60373a987d8fe777046078abe7fbcc4700e137cbfec6bf75b669a4c2c59"
+
+
+# refused command lines: each exits 1 with an `error:` line
+REFUSALS = [
+    "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 1 --vh-size 5 --retries -3 --out-prefix r",
+    "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 1 --vh-size 27 --out-prefix r",
+    "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 3 --vh-size 5 --retries 1 --out-prefix r",
+    "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 0 --vh-size 20 --retries 5 --out-prefix r",
+    "experiment --kind solvable --n 200 --d 3 --k 8 --trials 2 --seed 1",
+    "experiment --kind trend --n 20,30 --d 3 --k 3 --p 0.1",
+    "experiment --kind trend --n 20,30 --d 3 --k 3 --trials 5",
+    "experiment --kind trend --n 20,30 --d 3 --k 3 --seed 5",
+    "experiment --kind trend --n 20,30 --d 3 --k 3 --workers 2",
+    "experiment --kind solvable --n 20 --d 3 --k 3 --trials 5 --i 1",
+    "experiment --kind ex --n 12 --d 2 --k 2 --p 0.3 --trials 5 --regime vc",
+    "experiment --kind quasi --n 20 --d 3 --k 3 --trials 5 --i 0",
+    "experiment --kind trend --n 20,30 --d 3 --k 3 --regime ds",
+]
+
+
+def test_cli_refusals(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = [_cli(argv.split(), capsys) for argv in REFUSALS]
+    assert all(line.count("'error: ") == 1 for line in lines)
+    assert _sha(lines) == "c3364036d64ad0fe5521218fc99c119584a00736badce216f1c120408cb5b6e8"

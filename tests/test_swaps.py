@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hsi.hypergraph import Hypergraph, domination_status, is_dominating_set
@@ -16,7 +18,7 @@ from hsi.swaps import (
     forward_swap,
 )
 
-from oracles import backward_swap_plain, swap_roles_plain
+from oracles import backward_swap_plain, swap_roles_plain, undominated_plain
 
 STAR = Hypergraph(7, 3, [(0, 1, 2), (0, 3, 4), (0, 5, 6)])
 FIG = Hypergraph(7, 3, [(1, 2, 3), (4, 5, 6)])
@@ -228,6 +230,83 @@ class TestBackwardSwap:
                         assert (rec.removed, rec.added) == expected
                         swapped += 1
         assert swapped > 150 and refused > 100
+
+
+def backward_roles_plain(n, edges, s, v, blocked):
+    """Every admissible backward role assignment for the undominated v, from
+    plain set logic: u != u' of s in an edge u, u', z... that avoids
+    `blocked`; v' != v in an edge v, v', w... that avoids `blocked` and holds
+    every vertex s leaves undominated; both replacement edges (v, u, z...),
+    (v', u', w...) new."""
+    sset, bset = set(s), set(blocked)
+    present = {tuple(e) for e in edges}
+    open_ = set(undominated_plain(n, edges, s))
+    found = set()
+    for e1 in edges:
+        for u in sset.intersection(e1):
+            for u2 in sset.intersection(e1) - {u}:
+                z = tuple(x for x in e1 if x not in (u, u2))
+                for e2 in edges:
+                    if bset.intersection(e1 + e2) or v not in e2 or not open_ <= set(e2):
+                        continue
+                    for v2 in set(e2) - {v}:
+                        w = tuple(x for x in e2 if x not in (v, v2))
+                        added = (tuple(sorted((v, u, *z))), tuple(sorted((v2, u2, *w))))
+                        if not present.intersection(added):
+                            found.add(SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=w))
+    return found
+
+
+class TestPinnedRoles:
+    def test_pinned_roles_against_plain_listing(self):
+        # each forward swap's roles, pinned, restore the instance; each roles
+        # with one field changed are applied exactly when the plain listing
+        # holds them, and refused with reason "pinned" otherwise, with the
+        # passed generator left unused either way
+        params = ModelParams.calibrated(n=30, d=3, k=3, delta=0.5)
+        swaps = applied = refused = 0
+        seed = 0
+        while swaps < 200:
+            g = sample_hypergraph(params.with_seed(seed))
+            seed += 1
+            report = enumerate_dominating_sets(g, 3, witness_cap=1)
+            if not report.count:
+                continue
+            s = report.witnesses[0]
+            for region in (ProtectedRegion(), ProtectedRegion(tuple(range(5)))):
+                try:
+                    g2, rec = forward_swap(g, s, region=region, rng=SplitMix64(seed))
+                except SwapNotFound:
+                    continue
+                swaps += 1
+                r, v = rec.roles, rec.roles.v
+                assert backward_swap(g2, s, v, region, roles=r)[0] == g
+                listed = backward_roles_plain(g2.n, g2.edges, s, v, region.vertices)
+                assert r in listed
+                changed = [dataclasses.replace(r, u=r.u_prime, u_prime=r.u)]
+                for x in range(g.n):
+                    changed += [dataclasses.replace(r, v_prime=x), dataclasses.replace(r, z=(x,)),
+                                dataclasses.replace(r, w=(x,)), dataclasses.replace(r, v=x)]
+                for roles in changed:
+                    if roles == r:
+                        continue
+                    rng = SplitMix64(seed)
+                    if roles in listed:
+                        g3, rec3 = backward_swap(g2, s, v, region, rng=rng, roles=roles)
+                        removed = (tuple(sorted((roles.u, roles.u_prime, *roles.z))),
+                                   tuple(sorted((v, roles.v_prime, *roles.w))))
+                        added = (tuple(sorted((v, roles.u, *roles.z))),
+                                 tuple(sorted((roles.v_prime, roles.u_prime, *roles.w))))
+                        assert (rec3.roles, rec3.removed, rec3.added) == (roles, removed, added)
+                        assert set(g3.edges) == set(g2.edges) - set(removed) | set(added)
+                        applied += 1
+                    else:
+                        with pytest.raises(SwapNotFound) as err:
+                            backward_swap(g2, s, v, region, rng=rng, roles=roles)
+                        assert err.value.reason == "pinned"
+                        refused += 1
+                    assert rng.next_u64() == SplitMix64(seed).next_u64()
+        assert applied > 200 and refused > 10000
 
 
 class TestRoundTrip:
