@@ -132,8 +132,18 @@ def _canonical_edge(raw: Iterable[int], n: int, d: int) -> Edge:
     return e
 
 
-@lru_cache(maxsize=32)
+# Most vertices a bitmask is built for.  The table of 1 << v takes n^2/16
+# bytes and more: 17.6 MB at n = 16,384, where `hsi solve --k 1` on an
+# edgeless instance peaked at 54 MB RSS (30 MB at 10,000, 71 MB at 20,000 and
+# 160 MB at 32,768; CPython 3.11, x86-64).  The cache holds four tables, so
+# 70 MB at the limit.
+MAX_VERTICES = 16_384
+
+
+@lru_cache(maxsize=4)
 def _vertex_bits(n: int) -> tuple[int, ...]:
+    if n > MAX_VERTICES:
+        raise ValueError(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices for bitmasks")
     return tuple(1 << v for v in range(n))
 
 
@@ -212,18 +222,14 @@ def _covered(masks: Sequence[int], chosen: int) -> int:
     return out
 
 
-def _closed_union(g: Hypergraph, s: Iterable[int]) -> int:
-    return _covered(g.neighborhood_masks, _set_mask(as_vertex_set(s, g.n)))
-
-
 def domination_status(g: Hypergraph, s: Iterable[int]) -> DominationStatus:
-    missing = g.full_mask & ~_closed_union(g, s)
+    missing = g.full_mask & ~_dominated(g.edge_masks, _set_mask(as_vertex_set(s, g.n)))
     dominated = tuple(not missing >> v & 1 for v in range(g.n))
     return DominationStatus(dominated=dominated, undominated=_vertices(missing))
 
 
 def is_dominating_set(g: Hypergraph, s: Iterable[int]) -> bool:
-    return _closed_union(g, s) == g.full_mask
+    return _dominated(g.edge_masks, _set_mask(as_vertex_set(s, g.n))) == g.full_mask
 
 
 # -- canonical instance file ------------------------------------------------

@@ -15,10 +15,10 @@ of all the ranks at once (vertex j of every edge in column j), bisecting each
 digit above the lowest two and taking those two in closed form (c_2 from an
 integer square root, then c_1), so no table grows with n.  The bitmask
 builders `hypergraph._edge_bits` and `_closed_bits` read those columns.
-`sample_hypergraph` sorts the rows of the columns into a `Hypergraph`
-(`_instance`); the Monte-Carlo kernels and the pair builder's attempts build
-bitmasks straight from the columns instead, so they see the same instance
-without constructing one.
+`_instance(n, d, cols)` sorts the rows of the columns into a `Hypergraph`
+for `sample_hypergraph` and for the one attempt the pair builder accepts;
+the Monte-Carlo kernels and the pair builder's attempts build bitmasks
+straight from the columns, so they see the same instance without one.
 """
 
 from __future__ import annotations
@@ -236,10 +236,10 @@ def _colex_digits(n: int, d: int, ranks: Sequence[int]) -> list[list[int]]:
     return cols
 
 
-def _instance(n: int, d: int, ranks: Sequence[int]) -> Hypergraph:
-    """The `Hypergraph` whose edges have these ranks; distinct ranks give
-    distinct edges, so only their order is left to fix."""
-    return Hypergraph._trusted(n, d, sorted(zip(*_colex_digits(n, d, ranks))))
+def _instance(n: int, d: int, cols: Sequence[Sequence[int]]) -> Hypergraph:
+    """The `Hypergraph` whose edges have these digit columns; distinct ranks
+    give distinct edges, so only their order is left to fix."""
+    return Hypergraph._trusted(n, d, sorted(zip(*cols)))
 
 
 def sample_hypergraph(params: ModelParams) -> Hypergraph:
@@ -248,4 +248,4 @@ def sample_hypergraph(params: ModelParams) -> Hypergraph:
     Deterministic in params.seed; the edge stream is derived from the seed so
     other consumers of the same seed stay decoupled.
     """
-    return _instance(params.n, params.d, _edge_ranks(params))
+    return _instance(params.n, params.d, _colex_digits(params.n, params.d, _edge_ranks(params)))

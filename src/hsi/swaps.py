@@ -20,8 +20,10 @@ A candidate is admitted when the role lists hold it and both of its
 replacement edges are new; the lists hold every other rule (`_first_swap`).
 Candidates come in lexicographic order (optionally shuffled by a seeded
 generator), so a fixed seed reproduces the same SwapRecord.  Roles pinned for
-a backward swap are one candidate, refused unless the same lists hold them.
-Every refusal carries a reason code (`SwapNotFound.reason`), and
+a backward swap are looked up among the candidates of the unshuffled lists
+and applied only if they are one whose replacement edges are new; every
+other pin is refused with reason "pinned", and no draw is taken.  Every
+refusal carries a reason code (`SwapNotFound.reason`), and
 `build_selfref_pair` tallies its failed attempts by code.
 """
 
@@ -185,10 +187,9 @@ def _rewire(roles: SwapRoles, forward: bool) -> tuple[tuple[Edge, Edge], tuple[E
 
 
 def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, candidates,
-                exhausted: Optional[tuple[str, str]]) -> tuple[Hypergraph, SwapRecord]:
+                exhausted: tuple[str, str]) -> tuple[Hypergraph, SwapRecord]:
     """Apply the first candidate whose replacement edges are both new; raise
-    `exhausted` (message, reason) when none is, or, for pinned backward roles
-    (`exhausted` None), the candidate's refusal.  The role lists hold every
+    `exhausted` (message, reason) when none is.  The role lists hold every
     other rule: forward's v meets S only through e1 and e2's only member of S
     is u' != u, and backward's v is undominated, so e2 never meets S.  Either
     way the removed edges differ, and each replacement edge has d distinct
@@ -197,8 +198,7 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
     present = set(g.edges)
     for roles in candidates:
         removed, added = _rewire(roles, forward)
-        clash = next((e for e in added if e in present), None)
-        if clash is None:
+        if not present.intersection(added):
             g2 = g.replace_edges(removed=removed, added=added)
             dominated = _dominated(g2.edge_masks, _set_mask(vs))
             # forward leaves the pivot undominated; backward leaves none
@@ -206,8 +206,6 @@ def _first_swap(g: Hypergraph, vs, region: ProtectedRegion, direction: str, cand
                 raise AssertionError(f"{direction} swap did not flip the domination of S")
             return g2, SwapRecord(removed=removed, added=added, roles=roles,
                                   direction=direction, protected=region)
-        if exhausted is None:
-            raise SwapNotFound(f"replacement edge {clash} already exists", "pinned")
     raise SwapNotFound(*exhausted)
 
 
@@ -267,25 +265,6 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
         for u in _vertices(hit) for u2 in _vertices(hit) if u2 != u)
     outer = sorted(  # (v', e2): e2 holds the undominated vertices and avoids the region
         (v2, e2) for e2, m in holders if not m & blocked for v2 in e2 if v2 != v)
-    if roles is not None:
-        if roles.v != v:
-            raise SwapNotFound(f"pinned roles move vertex {roles.v}, not the undominated {v}",
-                               "pinned")
-        e2 = _edge(v, roles.v_prime, roles.w)
-        if not set(undominated).issubset(e2):
-            raise SwapNotFound(f"pinned roles leave some of {undominated} undominated", "pinned")
-        e1 = _edge(roles.u, roles.u_prime, roles.z)
-        if (roles.u, roles.u_prime, e1) not in inner or (roles.v_prime, e2) not in outer:
-            raise SwapNotFound(f"pinned roles trade {e1}, {e2}, not an inner and an outer "
-                               f"edge outside the region", "pinned")
-        return _first_swap(g, vs, region, "backward", [roles], None)
-    if rng is not None:
-        rng.shuffle(inner)
-        rng.shuffle(outer)
-    if not inner:
-        raise SwapNotFound("no edge joins two members of S outside the region", "no-inner")
-    if not outer:
-        raise SwapNotFound(f"vertex {v} has no usable edge to a partner vertex", "no-outer")
 
     def candidates():
         for u, u2, e1 in inner:
@@ -293,6 +272,18 @@ def backward_swap(g: Hypergraph, s, v: int, region: ProtectedRegion = ProtectedR
             for v2, e2 in outer:  # v is undominated, so e2 never meets S
                 yield SwapRoles(u=u, v=v, u_prime=u2, v_prime=v2, z=z, w=_rest(e2, v, v2))
 
+    if roles is not None:
+        if roles not in candidates():
+            raise SwapNotFound(f"pinned roles {roles} are not a backward candidate", "pinned")
+        return _first_swap(g, vs, region, "backward", [roles],
+                           (f"pinned roles {roles} add an edge that exists", "pinned"))
+    if rng is not None:
+        rng.shuffle(inner)
+        rng.shuffle(outer)
+    if not inner:
+        raise SwapNotFound("no edge joins two members of S outside the region", "no-inner")
+    if not outer:
+        raise SwapNotFound(f"vertex {v} has no usable edge to a partner vertex", "no-outer")
     return _first_swap(g, vs, region, "backward", candidates(),
                        ("no admissible role assignment for the backward swap", "no-role"))
 
@@ -303,8 +294,8 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
 
     Each attempt is counted on the closed masks `_closed_bits` builds from
     the digit columns of its edge ranks (`_colex_digits`); only an attempt
-    with a unique set has its ranks built into a `Hypergraph` (`_instance`)
-    and swapped.  Failed swaps are tallied by `SwapNotFound.reason` in
+    with a unique set has the same columns built into a `Hypergraph`
+    (`_instance`) and swapped.  Failed swaps are tallied by `SwapNotFound.reason` in
     `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
@@ -319,13 +310,14 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     failures: Counter[str] = Counter()
     for attempt in range(retry_budget):
         ranks = _edge_ranks(params, indexed_seed(params.seed, STREAM_ATTEMPTS, attempt))
+        cols = _colex_digits(n, d, ranks)
         # count_cap=2 finds at most two sets, so a witness cap of 2 keeps them all
-        report_yes = _search(n, _closed_bits(n, _colex_digits(n, d, ranks)), params.k, 2,
-                             DEFAULT_BUDGET, 2, quasi=False)
+        report_yes = _search(n, _closed_bits(n, cols), params.k, 2, DEFAULT_BUDGET, 2,
+                             quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue
-        g = _instance(n, d, ranks)
+        g = _instance(n, d, cols)
         s = report_yes.witnesses[0]
         try:
             g_no, record = forward_swap(g, s, region=region)

@@ -9,8 +9,10 @@ import pytest
 
 import hsi.cli as cli
 import hsi.experiments as experiments
+import hsi.hypergraph as hypergraph
 from hsi.experiments import EstimateRecord
 from hsi.hypergraph import (
+    MAX_VERTICES,
     Hypergraph,
     domination_status,
     is_dominating_set,
@@ -177,6 +179,30 @@ class TestGenAndSolve:
         assert err.startswith(f"error: {reason}")
 
 
+class TestVertexLimit:
+    @pytest.mark.parametrize("argv", [
+        "solve --in big.json --k 1",
+        "swap --in big.json --set 0 --dir backward --out big",
+        f"experiment --kind solvable --n {MAX_VERTICES + 1} --d 3 --k 1 --p 0 --trials 1 "
+        "--workers 1",
+    ])
+    def test_past_the_limit_exits_1(self, tmp_path, capsys, monkeypatch, argv):
+        # an edgeless instance one vertex past the limit: a clean error, no file
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text(json.dumps({"n": MAX_VERTICES + 1, "d": 3, "edges": []}))
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == (f"error: n = {MAX_VERTICES + 1} exceeds the limit of {MAX_VERTICES} "
+                       "vertices for bitmasks\n")
+        assert sorted(os.listdir()) == ["big.json"]
+
+    def test_budget_refusal_comes_first(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": MAX_VERTICES + 1, "d": 3, "edges": []}))
+        code, out, _ = run(capsys, "solve", "--in", str(path), "--k", "3")
+        assert code == 4 and json.loads(out)["error"] == "budget-exceeded"
+
+
 class TestMoments:
     def test_csv_rows(self, tmp_path, capsys):
         path = str(tmp_path / "m.csv")
@@ -207,8 +233,10 @@ class TestSwapCli:
         record = json.loads(Path(out_prefix + "_record.json").read_text())
         assert record["direction"] == "forward"
 
-    def test_backward_on_quasi_instance(self, tmp_path, capsys):
-        # S = {0,1,4} dominates all but vertex 2
+    def test_backward_on_quasi_instance(self, tmp_path, capsys, monkeypatch):
+        # S = {0,1,4} dominates all but vertex 2; both directions read only
+        # edge masks, so no closed mask is built
+        monkeypatch.setattr(hypergraph, "_closed_bits", None)
         src = str(tmp_path / "quasi.json")
         write_instance(Hypergraph(7, 3, [(0, 5, 6), (1, 3, 4), (2, 5, 6)]), src)
         back_prefix = str(tmp_path / "bwd")

@@ -1,11 +1,14 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hsi.hypergraph import (
+    MAX_VERTICES,
     Hypergraph,
+    _vertex_bits,
     as_vertex_set,
     domination_status,
     dumps_instance,
@@ -14,6 +17,7 @@ from hsi.hypergraph import (
     read_instance,
     write_instance,
 )
+from hsi.solvers import enumerate_dominating_sets
 
 from oracles import is_dominating_plain, undominated_plain
 
@@ -135,6 +139,34 @@ class TestDomination:
         assert domination_status(g, (0,)).undominated == (3,)
         assert domination_status(g, (3,)).undominated == (0, 1, 2)
         assert domination_status(g, (0, 1, 2, 3)).undominated == ()
+
+
+class TestVertexLimit:
+    def test_refusal_builds_no_table(self):
+        # the table past the limit would hold some 17 MB of ints; the refusal
+        # comes before it, so almost nothing is allocated and nothing is cached
+        cached = _vertex_bits.cache_info().currsize
+        g = Hypergraph(MAX_VERTICES + 1, 3, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n = {MAX_VERTICES + 1} exceeds the limit"):
+                g.edge_masks
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                g.neighborhood_masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert _vertex_bits.cache_info().currsize == cached
+
+    def test_edgeless_instance_at_the_limit_counts(self):
+        g = Hypergraph(MAX_VERTICES, 3, ())
+        try:
+            report = enumerate_dominating_sets(g, 1, witness_cap=0)
+            assert domination_status(g, (5,)).undominated[:6] == (0, 1, 2, 3, 4, 6)
+        finally:
+            _vertex_bits.cache_clear()  # the table at the limit takes 17.6 MB
+        assert (report.count, report.subsets_examined) == (0, MAX_VERTICES)
 
 
 def hits_every_neighborhood(g, s):
