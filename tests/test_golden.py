@@ -271,6 +271,7 @@ REFUSALS = [
     "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 1 --vh-size 27 --out-prefix r",
     "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 3 --vh-size 5 --retries 1 --out-prefix r",
     "pair --n 30 --d 3 --k 3 --delta 0.5 --seed 0 --vh-size 20 --retries 5 --out-prefix r",
+    "pair --n 60 --d 3 --k 10 --delta 0.5 --seed 1 --vh-size 8 --out-prefix r",
     "experiment --kind solvable --n 200 --d 3 --k 8 --trials 2 --seed 1",
     "experiment --kind trend --n 20,30 --d 3 --k 3 --p 0.1",
     "experiment --kind trend --n 20,30 --d 3 --k 3 --trials 5",
@@ -287,4 +288,4 @@ def test_cli_refusals(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     lines = [_cli(argv.split(), capsys) for argv in REFUSALS]
     assert all(line.count("'error: ") == 1 for line in lines)
-    assert _sha(lines) == "c3364036d64ad0fe5521218fc99c119584a00736badce216f1c120408cb5b6e8"
+    assert _sha(lines) == "a4fb8326c194d0a36024ba9b32db35098d84f6d8d18dac311cf011b7e6c718d1"
