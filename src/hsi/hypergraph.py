@@ -214,14 +214,6 @@ def _set_mask(s: Iterable[int]) -> int:
     return m
 
 
-def _covered(masks: Sequence[int], chosen: int) -> int:
-    """The vertices the set `chosen` dominates: the union of its closed masks."""
-    out = 0
-    for v in _vertices(chosen):
-        out |= masks[v]
-    return out
-
-
 def domination_status(g: Hypergraph, s: Iterable[int]) -> DominationStatus:
     missing = g.full_mask & ~_dominated(g.edge_masks, _set_mask(as_vertex_set(s, g.n)))
     dominated = tuple(not missing >> v & 1 for v in range(g.n))

@@ -78,7 +78,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .hypergraph import Hypergraph, _covered, _vertices
+from .hypergraph import Hypergraph, _vertices
 
 DEFAULT_BUDGET = 10**9
 # Largest n for the pair pass.  Its table takes n^3 bits: 3.4 MB at n=300,
@@ -145,6 +145,14 @@ def _select(bits: list[int], pick: int) -> int:
     out = 0
     for low in _mask_bits(pick):
         out |= bits[low.bit_length() - 1]
+    return out
+
+
+def _covered(masks: Sequence[int], chosen: int) -> int:
+    """The vertices the set `chosen` dominates: the union of its closed masks."""
+    out = 0
+    for v in _vertices(chosen):
+        out |= masks[v]
     return out
 
 

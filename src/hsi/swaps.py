@@ -295,8 +295,8 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
     Each attempt is counted on the closed masks `_closed_bits` builds from
     the digit columns of its edge ranks (`_colex_digits`); only an attempt
     with a unique set has the same columns built into a `Hypergraph`
-    (`_instance`) and swapped.  Failed swaps are tallied by `SwapNotFound.reason` in
-    `failure_reasons`.
+    (`_instance`) and swapped.  Failed swaps are tallied by
+    `SwapNotFound.reason` in `failure_reasons`.
 
     Returns the original instance, the swapped instance, the record, and both
     solve reports.  The swapped instance provably loses S as a dominating set;
