@@ -289,3 +289,45 @@ def test_cli_refusals(tmp_path, capsys, monkeypatch):
     lines = [_cli(argv.split(), capsys) for argv in REFUSALS]
     assert all(line.count("'error: ") == 1 for line in lines)
     assert _sha(lines) == "a4fb8326c194d0a36024ba9b32db35098d84f6d8d18dac311cf011b7e6c718d1"
+
+
+# (n, d, p, seed) instances on which some chosen sets dominate every vertex
+# with two or more picks left, so the witnesses come out of multi-pick
+# completion blocks, in plain and in quasi counts
+MULTI_PICK_CASES = [(14, 3, "0.2", 1), (16, 3, "0.15", 0), (12, 3, "0.5", 0)]
+
+
+def test_multi_pick_completions(tmp_path, capsys, monkeypatch):
+    # `hsi solve --witnesses 5` at k = 4 and 5, then library counts at
+    # count_cap 1-3 in the pair pass and, at k = 3, on the static-order fallback
+    monkeypatch.chdir(tmp_path)
+    lines = []
+    for j, (n, d, p, seed) in enumerate(MULTI_PICK_CASES):
+        lines.append(_cli(["gen", "--n", str(n), "--d", str(d), "--p", p, "--seed", str(seed),
+                           "--out", f"m{j}.json"], capsys, [f"m{j}.json"]))
+        for k in ("4", "5"):
+            for quasi in ([], ["--quasi"]):
+                lines.append(_cli(["solve", "--in", f"m{j}.json", "--k", k, *quasi,
+                                   "--witnesses", "5"], capsys))
+    for pair_pass_max_n, ks in ((solvers.PAIR_PASS_MAX_N, (4, 5)), (0, (3, 4))):
+        monkeypatch.setattr(solvers, "PAIR_PASS_MAX_N", pair_pass_max_n)
+        for n, d, p, seed in MULTI_PICK_CASES:
+            g = _instance(n, d, float(p), seed)
+            for k in ks:
+                for fn in (enumerate_dominating_sets, enumerate_quasi_dominating_sets):
+                    for cap in (1, 2, 3):
+                        rep = fn(g, k, witness_cap=5, count_cap=cap)
+                        lines.append(repr((pair_pass_max_n, n, seed, k, cap, rep.count,
+                                           rep.witnesses, rep.subsets_examined, rep.capped,
+                                           rep.missed_vertices)))
+    assert _sha(lines) == "9bf3d19a8dd591458b5ae5ac9b63bbc1957aa03795836a950e486a620dd8644b"
+
+
+def test_cli_gen_d2_large(tmp_path, capsys, monkeypatch):
+    # d = 2 at calibrated p, where the lowest colex digit c_1 is read beside
+    # c_2 up to n - 1 = 16,383, the vertex limit
+    monkeypatch.chdir(tmp_path)
+    lines = [_cli(["gen", "--n", str(n), "--d", "2", "--k", str(k), "--delta", "0.5",
+                   "--seed", str(seed), "--out", "g.json"], capsys, ["g.json"])
+             for n, k, seed in ((2000, 200, 1), (16384, 4000, 2))]
+    assert _sha(lines) == "192ea5dbfe00a3661c0e52f28f587495df2c2c984a95495d1dd4324208463164"
