@@ -46,7 +46,7 @@ from .moments import (
     vc_correlation_ratio,
 )
 from .rng import STREAM_TRIALS, indexed_seed
-from .solvers import DEFAULT_BUDGET, _search
+from .solvers import _search
 
 CSV_SCHEMA = "hsi.estimates.v1"
 _CSV_COLUMNS = ("schema", "name", "estimate", "std_error", "trials",
@@ -104,7 +104,7 @@ def _trial_digits(params: ModelParams, t: int) -> list[list[int]]:
 
 def _trial_solvable(params: ModelParams, t: int):
     masks = _closed_bits(params.n, _trial_digits(params, t))
-    c = _search(params.n, masks, params.k, 0, DEFAULT_BUDGET, None, quasi=False).count
+    c = _search(params.n, masks, params.k, 0, None, quasi=False).count
     return (c, c * c, 1 if c > 0 else 0, 1 if c == 1 else 0)
 
 
@@ -126,8 +126,8 @@ def _trial_pair(params: ModelParams, i: int, regime: str, t: int):
 def _trial_quasi(params: ModelParams, t: int):
     n, k = params.n, params.k
     masks = _closed_bits(n, _trial_digits(params, t))
-    q = _search(n, masks, k, 0, DEFAULT_BUDGET, None, quasi=True).count
-    has_dom = _search(n, masks, k, 0, DEFAULT_BUDGET, 1, quasi=False).count > 0
+    q = _search(n, masks, k, 0, None, quasi=True).count
+    has_dom = _search(n, masks, k, 0, 1, quasi=False).count > 0
     nodom = 0 if has_dom else 1
     return (q, q * q, nodom, 1 if (nodom and q > 0) else 0)
 

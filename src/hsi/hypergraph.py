@@ -240,7 +240,10 @@ def dumps_instance(g: Hypergraph, p: Optional[float] = None, seed: Optional[int]
 
 def loads_instance(text: str) -> tuple[Hypergraph, dict]:
     """Parse the canonical instance file; strict about keys, types and edge order."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("instance file nests too deeply to parse") from None
     if not isinstance(obj, dict):
         raise ValueError("instance file must be a JSON object")
     unknown = set(obj) - _INSTANCE_KEYS

@@ -12,8 +12,9 @@ C(n,d)*p passes `MAX_EDGES` are refused before anything is drawn.
 `_edge_ranks(params)` is the one owner of that edge stream, and
 `_colex_digits` the one reader of its ranks: it returns the d digit columns
 of all the ranks at once (vertex j of every edge in column j), bisecting each
-digit above the lowest two and taking those two in closed form (c_2 from an
-integer square root, then c_1), so no table grows with n.  The bitmask
+digit above the lowest two in a table of binomials and taking those two in
+closed form (c_2 from an integer square root, then c_1), so the table holds
+the d - 2 upper columns, n entries each, and none at d = 2.  The bitmask
 builders `hypergraph._edge_bits` and `_closed_bits` read those columns.
 `_instance(n, d, cols)` sorts the rows of the columns into a `Hypergraph`
 for `sample_hypergraph` and for the one attempt the pair builder accepts;
@@ -137,8 +138,8 @@ def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> flo
 
     if not 0.0 < delta < 1.0:
         raise ValueError(f"need 0 < delta < 1, got {delta}")
-    if tol <= 0.0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    if not (tol > 0.0 and math.isfinite(tol)):  # NaN fails the first test, inf the second
+        raise ValueError(f"need a finite tol > 0, got {tol}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
 
@@ -167,10 +168,12 @@ def calibrate_p(n: int, d: int, k: int, delta: float, tol: float = 1e-12) -> flo
 # -- sampling ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
+# At most 4 tables at once: a d = 3 table at n = 3*10^6 (one column) takes
+# about 135 MB.
+@lru_cache(maxsize=4)
 def _binom_columns(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    # columns[i][c] = C(c, d-i) for c in 0..n-1: the colex digits c_d .. c_2
-    return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 1, -1))
+    # columns[i][c] = C(c, d-i) for c in 0..n-1: the colex digits c_d .. c_3
+    return tuple(tuple(math.comb(c, j) for c in range(n)) for j in range(d, 2, -1))
 
 
 def _edge_ranks(params: ModelParams, seed: Optional[int] = None) -> Sequence[int]:
@@ -223,15 +226,14 @@ def _colex_digits(n: int, d: int, ranks: Sequence[int]) -> list[list[int]]:
     The digits above the lowest two are bisected out of their binomial
     columns.  What is left, r = C(c_2, 2) + c_1 with c_1 < c_2, satisfies
     (2 c_2 - 1)^2 <= 8 r + 1 < (2 c_2 + 1)^2, so c_2 = (isqrt(8 r + 1) + 1) // 2
-    exactly."""
-    *upper, pairs = _binom_columns(n, d)
+    exactly, and c_1 = r - c_2 (c_2 - 1) / 2."""
     cols = []
-    for column in upper:
+    for column in _binom_columns(n, d):
         top = [bisect_right(column, r) - 1 for r in ranks]
         ranks = [r - column[c] for r, c in zip(ranks, top)]
         cols.append(top)
     c2 = [math.isqrt(8 * r + 1) + 1 >> 1 for r in ranks]
-    cols += c2, [r - pairs[c] for r, c in zip(ranks, c2)]
+    cols += c2, [r - (c * (c - 1) >> 1) for r, c in zip(ranks, c2)]
     cols.reverse()
     return cols
 

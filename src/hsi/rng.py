@@ -108,6 +108,13 @@ class SplitMix64:
         (plain float multiplies, no libm), and the pmf recurrence uses only
         +,*,/.  When (1-p)^n underflows, the draw is split into two
         independent halves, which is an exact decomposition.
+
+        Where 1 - p rounds down, the float pmf sums to (fl(1-p) + p)^n < 1,
+        far below 1 once n is near 1/p^2.  A uniform above that mass is never
+        reached.  If the walk gets to c = n, it returns n; if its pmf
+        underflows to 0 past the mode first, it walks again to the uniform
+        times the mass it found.  Either way it returns a count the float pmf
+        gives mass to, from the same one draw.
         """
         if n < 0:
             raise ValueError("binomial n must be >= 0")
@@ -122,13 +129,25 @@ class SplitMix64:
             return self.binomial(half, p) + self.binomial(n - half, p)
         u = self.random()
         ratio = p / q
-        c = 0
-        cdf = pmf
-        while u >= cdf and c < n:
-            c += 1
-            pmf *= (n - c + 1) / c * ratio
-            cdf += pmf
+        c, last, cdf = _cdf_walk(n, pmf, ratio, u)
+        if c > n:  # pmf(n + 1) = 0: u lies above the whole mass, up to n
+            return n
+        if not last:  # u lies above the whole mass, cdf, and pmf underflowed
+            c = _cdf_walk(n, pmf, ratio, u * cdf)[0]
         return c
+
+
+def _cdf_walk(n: int, pmf: float, ratio: float, u: float) -> tuple[int, float, float]:
+    """Walk the binomial cdf up from c = 0, whose pmf is `pmf`, stepping by
+    pmf(c) = pmf(c-1) * (n-c+1)/c * ratio.  Returns (c, pmf(c), cdf(c)) at
+    the first c with cdf(c) > u, or else at the first c with pmf(c) = 0."""
+    c = 0
+    cdf = pmf
+    while u >= cdf and pmf:
+        c += 1
+        pmf *= (n - c + 1) / c * ratio
+        cdf += pmf
+    return c, pmf, cdf
 
 
 @lru_cache(maxsize=16)

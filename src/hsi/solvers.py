@@ -65,7 +65,7 @@ closed-neighborhood bitmasks.  The public functions pass a `Hypergraph`'s
 `neighborhood_masks`, checking k and the budget first so that a refusal
 builds no masks; the Monte-Carlo kernels and the pair builder's attempts
 pass masks built straight from the sampled edge ranks, without a
-`Hypergraph`.
+`Hypergraph`, and leave the budget at its default, `DEFAULT_BUDGET`.
 """
 
 from __future__ import annotations
@@ -120,32 +120,15 @@ class _CapReached(Exception):
 
 
 def _colex_subsets(mask: int, r: int) -> Iterator[int]:
-    """The r-subsets of `mask` in increasing order, which is colex order."""
-    bits = _mask_bits(mask)
-    pick = (1 << r) - 1  # the r lowest bits, indexed by position in `bits`
-    while pick < 1 << len(bits):
-        yield _select(bits, pick)
-        if not pick:
-            return
+    """The r-subsets of `mask` (r >= 1) in increasing order, which is colex
+    order."""
+    members = _vertices(mask)
+    pick = (1 << r) - 1  # the r lowest members, by position in `members`
+    while pick < 1 << len(members):
+        yield sum(1 << members[i] for i in _vertices(pick))
         low = pick & -pick  # Gosper's hack: the next larger index set of size r
         ripple = pick + low
         pick = (((ripple ^ pick) >> 2) // low) | ripple
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
-
-
-def _select(bits: list[int], pick: int) -> int:
-    out = 0
-    for low in _mask_bits(pick):
-        out |= bits[low.bit_length() - 1]
-    return out
 
 
 def _covered(masks: Sequence[int], chosen: int) -> int:
@@ -208,8 +191,8 @@ def _admitted(n: int, k: int, budget: int) -> int:
     return total
 
 
-def _search(n: int, masks: Sequence[int], k: int, witness_cap: int, budget: int,
-            count_cap: Optional[int], quasi: bool) -> SolveReport:
+def _search(n: int, masks: Sequence[int], k: int, witness_cap: int,
+            count_cap: Optional[int], quasi: bool, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Count the k-sets that dominate the instance on vertices 0..n-1 whose
     closed-neighborhood bitmasks are `masks`, or in quasi mode miss exactly one."""
     total = _admitted(n, k, budget)
@@ -395,7 +378,8 @@ def enumerate_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                               count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of dominating k-sets (capped search when count_cap given)."""
     _admitted(g.n, k, budget)  # a refusal builds no masks
-    return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=False)
+    return _search(g.n, g.neighborhood_masks, k, witness_cap, count_cap, quasi=False,
+                   budget=budget)
 
 
 def enumerate_quasi_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
@@ -403,4 +387,5 @@ def enumerate_quasi_dominating_sets(g: Hypergraph, k: int, witness_cap: int = 8,
                                     count_cap: Optional[int] = None) -> SolveReport:
     """Exact count of k-sets that dominate all but exactly one vertex."""
     _admitted(g.n, k, budget)  # a refusal builds no masks
-    return _search(g.n, g.neighborhood_masks, k, witness_cap, budget, count_cap, quasi=True)
+    return _search(g.n, g.neighborhood_masks, k, witness_cap, count_cap, quasi=True,
+                   budget=budget)

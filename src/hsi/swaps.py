@@ -44,7 +44,7 @@ from .hypergraph import (
 )
 from .model import ModelParams, _colex_digits, _edge_ranks, _instance
 from .rng import STREAM_ATTEMPTS, SplitMix64, indexed_seed
-from .solvers import DEFAULT_BUDGET, SolveReport, _search, enumerate_dominating_sets
+from .solvers import SolveReport, _search, enumerate_dominating_sets
 
 
 class SwapNotFound(RuntimeError):
@@ -312,8 +312,7 @@ def build_selfref_pair(params: ModelParams, region: ProtectedRegion = ProtectedR
         ranks = _edge_ranks(params, indexed_seed(params.seed, STREAM_ATTEMPTS, attempt))
         cols = _colex_digits(n, d, ranks)
         # count_cap=2 finds at most two sets, so a witness cap of 2 keeps them all
-        report_yes = _search(n, _closed_bits(n, cols), params.k, 2, DEFAULT_BUDGET, 2,
-                             quasi=False)
+        report_yes = _search(n, _closed_bits(n, cols), params.k, 2, 2, quasi=False)
         if not report_yes.unique:
             non_unique += 1
             continue

@@ -97,6 +97,14 @@ class TestCalibrate:
                            "--k", "4", "--delta", "1.5")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_1(self, capsys, tol):
+        # --tol inf once printed a p_star with residual 487634.5; nan was ignored
+        code, out, err = run(capsys, "calibrate", "--n", "60", "--d", "3",
+                             "--k", "4", "--delta", "0.5", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err == f"error: need a finite tol > 0, got {tol}\n"
+
 
 class TestGenAndSolve:
     def test_gen_refuses_dense_instance(self, tmp_path, capsys):
@@ -177,6 +185,16 @@ class TestGenAndSolve:
         code, out, err = run(capsys, "solve", "--in", str(path), "--k", "1")
         assert code == 1 and out == ""
         assert err.startswith(f"error: {reason}")
+
+
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_solve_refuses_deep_nesting(self, tmp_path, capsys, depth):
+        # a 2 KB file nesting 1,000 arrays in "edges": one error line, exit 1
+        path = tmp_path / "deep.json"
+        path.write_text('{"n":5,"d":2,"edges":' + "[" * depth + "]" * depth + "}")
+        code, out, err = run(capsys, "solve", "--in", str(path), "--k", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestVertexLimit:

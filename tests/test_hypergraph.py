@@ -259,6 +259,14 @@ class TestInstanceFile:
         with pytest.raises(ValueError, match="duplicate"):
             loads_instance('{"n":4,"d":2,"edges":[[0,1],[0,1]]}')
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    def test_deep_nesting_rejected(self, depth):
+        # the JSON parser recurses per level: its RecursionError becomes a
+        # ValueError.  Where it parses 1,000 levels, the edge check refuses them.
+        text = '{"n":5,"d":2,"edges":' + "[" * depth + "]" * depth + "}"
+        with pytest.raises(ValueError, match="nests too deeply" if depth > 1_000 else None):
+            loads_instance(text)
+
     def test_canonical_bytes_are_stable(self):
         text = dumps_instance(G52, p=0.5, seed=1)
         assert text == '{"n":5,"d":3,"edges":[[0,1,2],[2,3,4]],"p":0.5,"seed":1}'

@@ -7,6 +7,7 @@ from hsi.hypergraph import Hypergraph, _closed_bits, _edge_bits
 from hsi.model import (
     InstanceTooLarge,
     ModelParams,
+    _binom_columns,
     _colex_digits,
     _edge_ranks,
     asymptotic_p,
@@ -99,6 +100,11 @@ class TestCalibration:
             calibrate_p(60, 3, 4, 1.0)
         with pytest.raises(ValueError):
             calibrate_p(60, 3, 4, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite tol"):
+            calibrate_p(60, 3, 4, 0.5, tol=tol)
 
     def test_d2_calibrates_without_asymptotic_form(self):
         p = calibrate_p(40, 2, 4, 0.3)
@@ -266,6 +272,24 @@ class TestColexDigits:
             assert _closed_bits(n, cols) == closed_masks_plain(n, edges)
             shapes.add("empty" if not ranks else "excluded" if len(ranks) > total // 2 else "drawn")
         assert shapes == {"empty", "drawn", "excluded"}
+
+    @pytest.mark.parametrize("n, d", [(9, 2), (9, 3), (12, 5)])
+    def test_table_holds_the_bisected_columns(self, n, d):
+        # the lowest two digits are read in closed form, so the table holds
+        # C(c, j) for j = d .. 3 only, and nothing at d = 2
+        assert _binom_columns(n, d) == tuple(
+            tuple(math.comb(c, j) for c in range(n)) for j in range(d, 2, -1))
+        assert len(_binom_columns(n, d)) == d - 2
+
+    def test_closed_form_digits_at_d2_large_n(self):
+        # at d = 2 and n = 10^8 no table is built; the first and last ranks and
+        # the ranks around C(c, 2) for a c near n read as plain unranking does
+        n, c = 10**8, 10**8 - 7
+        ranks = [0, 1, 2, math.comb(c, 2) - 1, math.comb(c, 2), math.comb(c, 2) + c - 1,
+                 math.comb(n, 2) - 1]
+        cols = _colex_digits(n, 2, ranks)
+        assert list(zip(*cols)) == [(0, 1), (0, 2), (1, 2), (c - 2, c - 1), (0, c),
+                                    (c - 1, c), (n - 2, n - 1)]
 
     @pytest.mark.parametrize("n, d", [(0, 2), (1, 2), (4, 3), (3, 5)])
     def test_edgeless_masks(self, n, d):

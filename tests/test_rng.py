@@ -77,6 +77,36 @@ def test_binomial_underflow_split_path():
     assert abs(mean - n * p) < 4 * se
 
 
+def test_binomial_walk_stops_below_a_short_mass():
+    # fl(1 - 1e-13) < 1 - 1e-13, so at n = 10^15 the float pmf sums to about
+    # 0.97: seed 44's uniform lies above that, and its walk, which once ran on
+    # toward c = n, stops where the pmf underflows (c = 690) and walks again
+    # to u times the mass.  It takes one draw, as every walk does.
+    n, p = 10**15, 1e-13
+    rng, ref = SplitMix64(44), SplitMix64(44)
+    assert ref.random() >= 0.97
+    assert 0 < rng.binomial(n, p) < 690
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_binomial_uniform_above_the_mass(monkeypatch):
+    # the float pmf of Binomial(3, 0.3) sums to 1 - 2^-53: a uniform that high
+    # walks to c = n and returns n, as it always has.  At n = 1,000 the pmf
+    # underflows long before n (0.3^1000 < 1e-500): that walk once returned
+    # 1,000, and now stops within the mass, 8 sd above the mean.
+    monkeypatch.setattr(SplitMix64, "random", lambda self: 1.0 - 2.0**-53)
+    assert SplitMix64(0).binomial(3, 0.3) == 3
+    assert SplitMix64(0).binomial(1000, 0.3) == 422
+
+
+def test_binomial_split_walks_return():
+    # C(10^6, 3) * 1e-13 = 16,700 expected edges: the draw splits into 32
+    # walks, of which nearly every seed once sent one on toward c = n
+    n, p = math.comb(10**6, 3), 1e-13
+    draws = [SplitMix64(seed).binomial(n, p) for seed in range(1, 21)]
+    assert all(abs(x - n * p) < 8 * math.sqrt(n * p) for x in draws)
+
+
 def test_shuffle_is_permutation_and_deterministic():
     rng = SplitMix64(21)
     xs = list(range(10))
