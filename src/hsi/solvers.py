@@ -120,8 +120,7 @@ class _CapReached(Exception):
 
 
 def _colex_subsets(mask: int, r: int) -> Iterator[int]:
-    """The r-subsets of `mask` (r >= 1) in increasing order, which is colex
-    order."""
+    """The r-subsets (r >= 1) of `mask` in increasing order, which is colex order."""
     members = _vertices(mask)
     pick = (1 << r) - 1  # the r lowest members, by position in `members`
     while pick < 1 << len(members):
