@@ -99,7 +99,8 @@ class TestCalibrate:
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exit_1(self, capsys, tol):
-        # --tol inf once printed a p_star with residual 487634.5; nan was ignored
+        # an infinite tol accepts the first midpoint; a NaN one fails every
+        # comparison, so it would be ignored
         code, out, err = run(capsys, "calibrate", "--n", "60", "--d", "3",
                              "--k", "4", "--delta", "0.5", "--tol", tol)
         assert (code, out) == (1, "")
@@ -185,7 +186,6 @@ class TestGenAndSolve:
         code, out, err = run(capsys, "solve", "--in", str(path), "--k", "1")
         assert code == 1 and out == ""
         assert err.startswith(f"error: {reason}")
-
 
     @pytest.mark.parametrize("depth", [1_000, 100_000])
     def test_solve_refuses_deep_nesting(self, tmp_path, capsys, depth):

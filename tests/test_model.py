@@ -279,7 +279,6 @@ class TestColexDigits:
         # C(c, j) for j = d .. 3 only, and nothing at d = 2
         assert _binom_columns(n, d) == tuple(
             tuple(math.comb(c, j) for c in range(n)) for j in range(d, 2, -1))
-        assert len(_binom_columns(n, d)) == d - 2
 
     def test_closed_form_digits_at_d2_large_n(self):
         # at d = 2 and n = 10^8 no table is built; the first and last ranks and

@@ -79,9 +79,9 @@ def test_binomial_underflow_split_path():
 
 def test_binomial_walk_stops_below_a_short_mass():
     # fl(1 - 1e-13) < 1 - 1e-13, so at n = 10^15 the float pmf sums to about
-    # 0.97: seed 44's uniform lies above that, and its walk, which once ran on
-    # toward c = n, stops where the pmf underflows (c = 690) and walks again
-    # to u times the mass.  It takes one draw, as every walk does.
+    # 0.97: seed 44's uniform lies above that.  Its walk stops where the pmf
+    # underflows (c = 690), not on toward c = n, and walks again to u times
+    # the mass.  It takes one draw, as every walk does.
     n, p = 10**15, 1e-13
     rng, ref = SplitMix64(44), SplitMix64(44)
     assert ref.random() >= 0.97
@@ -91,9 +91,9 @@ def test_binomial_walk_stops_below_a_short_mass():
 
 def test_binomial_uniform_above_the_mass(monkeypatch):
     # the float pmf of Binomial(3, 0.3) sums to 1 - 2^-53: a uniform that high
-    # walks to c = n and returns n, as it always has.  At n = 1,000 the pmf
-    # underflows long before n (0.3^1000 < 1e-500): that walk once returned
-    # 1,000, and now stops within the mass, 8 sd above the mean.
+    # walks to c = n and returns n.  At n = 1,000 the pmf underflows long
+    # before n (0.3^1000 < 1e-500), and the walk stops within the mass, 8 sd
+    # above the mean, not at n.
     monkeypatch.setattr(SplitMix64, "random", lambda self: 1.0 - 2.0**-53)
     assert SplitMix64(0).binomial(3, 0.3) == 3
     assert SplitMix64(0).binomial(1000, 0.3) == 422
@@ -101,7 +101,8 @@ def test_binomial_uniform_above_the_mass(monkeypatch):
 
 def test_binomial_split_walks_return():
     # C(10^6, 3) * 1e-13 = 16,700 expected edges: the draw splits into 32
-    # walks, of which nearly every seed once sent one on toward c = n
+    # walks, and for nearly every seed one of them draws a uniform above its
+    # float mass
     n, p = math.comb(10**6, 3), 1e-13
     draws = [SplitMix64(seed).binomial(n, p) for seed in range(1, 21)]
     assert all(abs(x - n * p) < 8 * math.sqrt(n * p) for x in draws)
